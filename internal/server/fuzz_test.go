@@ -1,6 +1,7 @@
 package server
 
 import (
+	"os"
 	"testing"
 
 	"dynahist/internal/wire"
@@ -50,6 +51,13 @@ func FuzzDecodeEntry(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("HCAT"))
+	for _, c := range catalogCorpus {
+		data, err := os.ReadFile(c.path())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEntry(data)
 		if err != nil {
