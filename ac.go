@@ -26,32 +26,6 @@ const ACDefaultDiskFactor = approx.DefaultDiskFactor
 // from the backing sample at every update — the paper's configuration.
 const ACRecomputeAlways = approx.RecomputeAlways
 
-// NewAC returns an AC histogram with the given in-memory byte budget,
-// backing-sample disk factor, and reservoir seed.
-//
-// Deprecated: use New(KindAC, WithMemory(memBytes),
-// WithDiskFactor(diskFactor), WithSeed(seed)).
-func NewAC(memBytes, diskFactor int, seed int64) (*AC, error) {
-	h, err := approx.New(memBytes, diskFactor, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &AC{inner: h}, nil
-}
-
-// NewACBuckets returns an AC histogram with explicit bucket and sample
-// capacities.
-//
-// Deprecated: use New(KindAC, WithBuckets(buckets),
-// WithSampleCapacity(sampleCapacity), WithSeed(seed)).
-func NewACBuckets(buckets, sampleCapacity int, seed int64) (*AC, error) {
-	h, err := approx.NewBuckets(buckets, sampleCapacity, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &AC{inner: h}, nil
-}
-
 // Insert adds one occurrence of v.
 func (h *AC) Insert(v float64) error { h.rv = nil; return h.inner.Insert(v) }
 

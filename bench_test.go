@@ -86,23 +86,25 @@ func benchInsert(b *testing.B, build func() (dynahist.Histogram, error)) {
 }
 
 func BenchmarkInsertDC(b *testing.B) {
-	benchInsert(b, func() (dynahist.Histogram, error) { return dynahist.NewDCMemory(1024) })
+	benchInsert(b, func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDC, dynahist.WithMemory(1024)) })
 }
 
 func BenchmarkInsertDADO(b *testing.B) {
-	benchInsert(b, func() (dynahist.Histogram, error) { return dynahist.NewDADOMemory(1024) })
+	benchInsert(b, func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024)) })
 }
 
 func BenchmarkInsertDVO(b *testing.B) {
-	benchInsert(b, func() (dynahist.Histogram, error) { return dynahist.NewDVOMemory(1024) })
+	benchInsert(b, func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDVO, dynahist.WithMemory(1024)) })
 }
 
 func BenchmarkInsertAC(b *testing.B) {
-	benchInsert(b, func() (dynahist.Histogram, error) { return dynahist.NewAC(1024, 20, 1) })
+	benchInsert(b, func() (dynahist.Histogram, error) {
+		return dynahist.New(dynahist.KindAC, dynahist.WithMemory(1024), dynahist.WithDiskFactor(20), dynahist.WithSeed(1))
+	})
 }
 
 func BenchmarkEstimateRangeDADO(b *testing.B) {
-	h, err := dynahist.NewDADOMemory(1024)
+	h, err := dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func BenchmarkStaticSSBMConstruction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := dynahist.BuildStaticMemory(dynahist.SSBM, values, 1024); err != nil {
+		if _, err := dynahist.New(dynahist.KindSSBM, dynahist.WithValues(values), dynahist.WithMemory(1024)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +145,7 @@ func BenchmarkStaticVOptimalConstruction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := dynahist.BuildStatic(dynahist.VOptimal, values, 32); err != nil {
+		if _, err := dynahist.New(dynahist.KindVOptimal, dynahist.WithValues(values), dynahist.WithBuckets(32)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +189,7 @@ func benchParallelIngest(b *testing.B, ins func(v float64) error) {
 }
 
 func BenchmarkIngest8WritersConcurrent(b *testing.B) {
-	h, err := dynahist.NewDADOMemory(8192)
+	h, err := dynahist.New(dynahist.KindDADO, dynahist.WithMemory(8192))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func BenchmarkIngest8WritersConcurrent(b *testing.B) {
 
 func BenchmarkIngest8WritersSharded(b *testing.B) {
 	s, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-		return dynahist.NewDADOMemory(8192 / benchShardWriters)
+		return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(8192/benchShardWriters))
 	}, dynahist.WithShards(benchShardWriters))
 	if err != nil {
 		b.Fatal(err)
@@ -387,7 +389,7 @@ func BenchmarkDirectQuantiles(b *testing.B) {
 	b.ResetTimer()
 	for b.Loop() {
 		for _, q := range benchQuantileArgs {
-			if _, err := dynahist.Quantile(s, q); err != nil {
+			if _, err := linearQuantile(s, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -446,7 +448,7 @@ func BenchmarkHTTPBatchQuery(b *testing.B) {
 // cached merged snapshot without touching any shard lock.
 func BenchmarkShardedRead(b *testing.B) {
 	s, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-		return dynahist.NewDADOMemory(1024)
+		return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
 	}, dynahist.WithShards(benchShardWriters))
 	if err != nil {
 		b.Fatal(err)

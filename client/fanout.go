@@ -151,10 +151,12 @@ type DescribeOptions struct {
 // Describe answers the spec over the global distribution: every
 // site's envelope is fetched concurrently, the snapshots are
 // superposed into the lossless §8 union (reduced to opts.MaxBuckets
-// when set), and the whole spec is evaluated against the merged
-// histogram. Sites that fail are skipped and flagged — the answer is
-// Partial, not an error — but a read where every site fails, or the
-// spec itself is unanswerable, errors.
+// when set), and the spec's shape statistics — quantiles, CDF, PDF,
+// ranges and buckets — are evaluated against the merged histogram.
+// Total is the exact sum of the reachable sites' totals, not the
+// union's float-summed bucket mass. Sites that fail are skipped and
+// flagged — the answer is Partial, not an error — but a read where
+// every site fails, or the spec itself is unanswerable, errors.
 func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts DescribeOptions) (GlobalSummary, error) {
 	g := GlobalSummary{Sites: make([]SiteResult, len(f.clients))}
 	hists := make([]dynahist.Histogram, len(f.clients))
@@ -175,16 +177,18 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 				sr.Err = fmt.Errorf("restoring envelope: %w", err)
 				return
 			}
-			sr.Site, sr.Watermark, sr.Total = env.Site, env.Watermark, h.Total()
+			sr.Site, sr.Watermark, sr.Total = env.Site, env.Watermark, siteTotal(h)
 			hists[i] = h
 		}()
 	}
 	wg.Wait()
 
 	members := make([]dynahist.Histogram, 0, len(hists))
+	total := 0.0
 	for i, h := range hists {
 		if h != nil {
 			members = append(members, h)
+			total += g.Sites[i].Total
 		} else {
 			g.Partial = true
 			if g.Sites[i].Err == nil {
@@ -224,7 +228,7 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 		return g, err
 	}
 	g.Summary = Summary{
-		Total:     sum.Total,
+		Total:     total,
 		Quantiles: sum.Quantiles,
 		CDF:       sum.CDF,
 		PDF:       sum.PDF,
@@ -237,6 +241,21 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 		}
 	}
 	return g, nil
+}
+
+// siteTotal is a restored site's exact point count: the sum of its
+// shards' own counts. The merged view's Total is a float sum over
+// superposed, fractionally split buckets and drifts by ulps.
+func siteTotal(h dynahist.Histogram) float64 {
+	s, ok := h.(*dynahist.Sharded)
+	if !ok {
+		return h.Total()
+	}
+	total := 0.0
+	for _, t := range s.ShardTotals() {
+		total += t
+	}
+	return total
 }
 
 func toDynaRanges(rs []Range) []dynahist.Range {

@@ -289,6 +289,15 @@ func TestFanoutPartialAndTotalFailure(t *testing.T) {
 	if g.Total != 4 {
 		t.Fatalf("partial total = %v, want 4 (the live site)", g.Total)
 	}
+	survivors := 0.0
+	for _, sr := range g.Sites {
+		if sr.Err == nil {
+			survivors += sr.Total
+		}
+	}
+	if g.Total != survivors {
+		t.Fatalf("partial total = %v, want the surviving sites' sum %v", g.Total, survivors)
+	}
 	if g.Sites[0].Err != nil || g.Sites[1].Err == nil {
 		t.Fatalf("site errors = [%v, %v], want [nil, non-nil]", g.Sites[0].Err, g.Sites[1].Err)
 	}

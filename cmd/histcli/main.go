@@ -47,7 +47,6 @@ import (
 
 	"dynahist"
 	"dynahist/client"
-	"dynahist/internal/histogram"
 	"dynahist/internal/tuner"
 )
 
@@ -287,19 +286,7 @@ func tunedView(v *dynahist.View, specs []string, out io.Writer) (*dynahist.View,
 		recs[i] = tuner.Record{Lo: lo, Hi: hi, Observed: obs}
 	}
 
-	pb := v.Buckets()
-	if len(pb) == 0 {
-		return nil, fmt.Errorf("feedback needs a non-empty histogram")
-	}
-	k := len(pb[0].Counters)
-	ib := make([]histogram.Bucket, len(pb))
-	for i, b := range pb {
-		if len(b.Counters) != k {
-			return nil, fmt.Errorf("feedback needs uniform bucket resolution")
-		}
-		ib[i] = histogram.Bucket{Left: b.Left, Right: b.Right, Subs: b.Counters}
-	}
-	st, err := histogram.StoreOfBuckets(ib, k)
+	st, err := tuner.StoreOfView(v)
 	if err != nil {
 		return nil, err
 	}
@@ -316,17 +303,7 @@ func tunedView(v *dynahist.View, specs []string, out io.Writer) (*dynahist.View,
 		fmt.Fprintf(out, "feedback [%g, %g]: estimated %.1f observed %.0f tuned %.1f\n",
 			r.Lo, r.Hi, r.Estimated, r.Observed, tuner.EstimateRange(st, r.Lo, r.Hi))
 	}
-
-	tuned := st.Buckets()
-	outB := make([]dynahist.Bucket, len(tuned))
-	for i, b := range tuned {
-		outB[i] = dynahist.Bucket{Left: b.Left, Right: b.Right, Counters: b.Subs}
-	}
-	h, err := dynahist.NewStaticFromBuckets(outB)
-	if err != nil {
-		return nil, err
-	}
-	return h.View()
+	return tuner.ViewOfStore(st)
 }
 
 func buildHistogram(algo string, mem int, seed int64) (dynahist.Estimator, error) {

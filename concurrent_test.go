@@ -10,15 +10,8 @@ import (
 )
 
 func TestConcurrentDelegates(t *testing.T) {
-	plain, err := dynahist.NewDCMemory(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := dynahist.NewDCMemory(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dynahist.NewConcurrent(inner)
+	plain := mustNewKind(t, dynahist.KindDC, dynahist.WithMemory(512))
+	c := dynahist.NewConcurrent(mustNewKind(t, dynahist.KindDC, dynahist.WithMemory(512)))
 	rng := rand.New(rand.NewSource(9))
 	for range 5000 {
 		v := float64(rng.Intn(1000))
@@ -60,9 +53,11 @@ func TestConcurrentRace(t *testing.T) {
 		name  string
 		build func() (dynahist.Histogram, error)
 	}{
-		{"DC", func() (dynahist.Histogram, error) { return dynahist.NewDCMemory(512) }},
-		{"DADO", func() (dynahist.Histogram, error) { return dynahist.NewDADOMemory(512) }},
-		{"AC", func() (dynahist.Histogram, error) { return dynahist.NewAC(512, 20, 1) }},
+		{"DC", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDC, dynahist.WithMemory(512)) }},
+		{"DADO", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(512)) }},
+		{"AC", func() (dynahist.Histogram, error) {
+			return dynahist.New(dynahist.KindAC, dynahist.WithMemory(512), dynahist.WithDiskFactor(20), dynahist.WithSeed(1))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h, err := tc.build()

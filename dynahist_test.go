@@ -32,17 +32,21 @@ func TestPublicConstructors(t *testing.T) {
 		name  string
 		build func() (dynahist.Histogram, error)
 	}{
-		{"DADO", func() (dynahist.Histogram, error) { return dynahist.NewDADO(16) }},
-		{"DADOMemory", func() (dynahist.Histogram, error) { return dynahist.NewDADOMemory(1024) }},
-		{"DVO", func() (dynahist.Histogram, error) { return dynahist.NewDVO(16) }},
-		{"DVOMemory", func() (dynahist.Histogram, error) { return dynahist.NewDVOMemory(1024) }},
+		{"DADO", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDADO, dynahist.WithBuckets(16)) }},
+		{"DADOMemory", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024)) }},
+		{"DVO", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDVO, dynahist.WithBuckets(16)) }},
+		{"DVOMemory", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDVO, dynahist.WithMemory(1024)) }},
 		{"Dynamic-K3", func() (dynahist.Histogram, error) {
-			return dynahist.NewDynamic(dynahist.AbsDeviation, 16, 3)
+			return dynahist.New(dynahist.KindDADO, dynahist.WithBuckets(16), dynahist.WithSubBuckets(3))
 		}},
-		{"DC", func() (dynahist.Histogram, error) { return dynahist.NewDC(16) }},
-		{"DCMemory", func() (dynahist.Histogram, error) { return dynahist.NewDCMemory(1024) }},
-		{"AC", func() (dynahist.Histogram, error) { return dynahist.NewAC(1024, 20, 1) }},
-		{"ACBuckets", func() (dynahist.Histogram, error) { return dynahist.NewACBuckets(16, 500, 1) }},
+		{"DC", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDC, dynahist.WithBuckets(16)) }},
+		{"DCMemory", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDC, dynahist.WithMemory(1024)) }},
+		{"AC", func() (dynahist.Histogram, error) {
+			return dynahist.New(dynahist.KindAC, dynahist.WithMemory(1024), dynahist.WithDiskFactor(20), dynahist.WithSeed(1))
+		}},
+		{"ACBuckets", func() (dynahist.Histogram, error) {
+			return dynahist.New(dynahist.KindAC, dynahist.WithBuckets(16), dynahist.WithSampleCapacity(500), dynahist.WithSeed(1))
+		}},
 	}
 	values := randomValues(1, 5000, 400)
 	for _, c := range cases {
@@ -81,25 +85,25 @@ func TestPublicConstructors(t *testing.T) {
 }
 
 func TestConstructorErrors(t *testing.T) {
-	if _, err := dynahist.NewDADO(1); err == nil {
-		t.Error("NewDADO(1): want error")
+	if _, err := dynahist.New(dynahist.KindDADO, dynahist.WithBuckets(1)); err == nil {
+		t.Error("DADO with 1 bucket: want error")
 	}
-	if _, err := dynahist.NewDCMemory(2); err == nil {
-		t.Error("NewDCMemory(2): want error")
+	if _, err := dynahist.New(dynahist.KindDC, dynahist.WithMemory(2)); err == nil {
+		t.Error("DC with 2 bytes: want error")
 	}
-	if _, err := dynahist.NewAC(1024, 0, 1); err == nil {
-		t.Error("NewAC disk factor 0: want error")
+	if _, err := dynahist.New(dynahist.KindAC, dynahist.WithMemory(1024), dynahist.WithDiskFactor(-1)); err == nil {
+		t.Error("AC disk factor -1: want error")
 	}
-	if _, err := dynahist.NewDynamic(dynahist.AbsDeviation, 8, 1); err == nil {
+	if _, err := dynahist.New(dynahist.KindDADO, dynahist.WithBuckets(8), dynahist.WithSubBuckets(1)); err == nil {
 		t.Error("subBuckets 1: want error")
 	}
-	if _, err := dynahist.BuildStatic(dynahist.StaticKind(42), []int{1}, 4); err == nil {
+	if _, err := dynahist.New(dynahist.Kind(42), dynahist.WithValues([]int{1}), dynahist.WithBuckets(4)); err == nil {
 		t.Error("unknown static kind: want error")
 	}
-	if _, err := dynahist.BuildStatic(dynahist.EquiDepth, nil, 4); err == nil {
+	if _, err := dynahist.New(dynahist.KindEquiDepth, dynahist.WithValues(nil), dynahist.WithBuckets(4)); err == nil {
 		t.Error("no values: want error")
 	}
-	if _, err := dynahist.BuildStatic(dynahist.EquiDepth, []int{-1}, 4); err == nil {
+	if _, err := dynahist.New(dynahist.KindEquiDepth, dynahist.WithValues([]int{-1}), dynahist.WithBuckets(4)); err == nil {
 		t.Error("negative value: want error")
 	}
 }
@@ -123,30 +127,27 @@ func TestBucketsForMemory(t *testing.T) {
 
 func TestStaticKinds(t *testing.T) {
 	values := randomValues(2, 4000, 300)
-	kinds := []dynahist.StaticKind{
-		dynahist.EquiWidth, dynahist.EquiDepth, dynahist.Compressed,
-		dynahist.VOptimal, dynahist.SADO, dynahist.SSBM,
+	kinds := []dynahist.Kind{
+		dynahist.KindEquiWidth, dynahist.KindEquiDepth, dynahist.KindCompressed,
+		dynahist.KindVOptimal, dynahist.KindSADO, dynahist.KindSSBM,
 	}
 	for _, kind := range kinds {
-		h, err := dynahist.BuildStatic(kind, values, 20)
-		if err != nil {
-			t.Fatalf("kind %d: %v", int(kind), err)
-		}
+		h := mustNewKind(t, kind, dynahist.WithValues(values), dynahist.WithBuckets(20)).(*dynahist.Static)
 		if h.Total() != 4000 {
-			t.Fatalf("kind %d: Total %v", int(kind), h.Total())
+			t.Fatalf("%v: Total %v", kind, h.Total())
 		}
 		if h.NumBuckets() > 20 {
-			t.Fatalf("kind %d: over budget", int(kind))
+			t.Fatalf("%v: over budget", kind)
 		}
 		ks, err := dynahist.KS(h, values)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ks > 0.25 {
-			t.Fatalf("kind %d: KS %v implausibly bad", int(kind), ks)
+			t.Fatalf("%v: KS %v implausibly bad", kind, ks)
 		}
 	}
-	if _, err := dynahist.BuildStaticMemory(dynahist.SSBM, values, 256); err != nil {
+	if _, err := dynahist.New(dynahist.KindSSBM, dynahist.WithValues(values), dynahist.WithMemory(256)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -155,10 +156,7 @@ func TestDADOBeatsStaticBaselineClaim(t *testing.T) {
 	// The paper's headline: DADO (dynamic, one pass, bounded memory)
 	// comes close to the best static construction on skewed data.
 	values := randomValues(3, 30000, 2000)
-	dado, err := dynahist.NewDADOMemory(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dado := mustNewKind(t, dynahist.KindDADO, dynahist.WithMemory(1024))
 	insertStream(t, dado, values)
 	ksDADO, err := dynahist.KS(dado, values)
 	if err != nil {
@@ -171,10 +169,7 @@ func TestDADOBeatsStaticBaselineClaim(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	values := randomValues(4, 3000, 500)
-	h, err := dynahist.NewDADO(24)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(24))
 	insertStream(t, h, values)
 	data, err := dynahist.MarshalBuckets(h.Buckets())
 	if err != nil {
@@ -199,14 +194,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestSuperposeAndReduce(t *testing.T) {
-	h1, err := dynahist.NewDADO(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := dynahist.NewDADO(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1 := mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(16))
+	h2 := mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(16))
 	insertStream(t, h1, randomValues(5, 2000, 300))
 	insertStream(t, h2, randomValues(6, 3000, 600))
 	u, err := dynahist.Superpose(h1, h2)
@@ -237,11 +226,7 @@ func TestSuperposeAndReduce(t *testing.T) {
 }
 
 func TestConcurrentWrapper(t *testing.T) {
-	inner, err := dynahist.NewDADO(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := dynahist.NewConcurrent(inner)
+	h := dynahist.NewConcurrent(mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(32)))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := range 4 {
@@ -280,10 +265,7 @@ func TestConcurrentWrapper(t *testing.T) {
 }
 
 func TestDiagnosticsExposed(t *testing.T) {
-	dc, err := dynahist.NewDC(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dc := mustNewKind(t, dynahist.KindDC, dynahist.WithBuckets(8)).(*dynahist.DC)
 	for v := range 8 {
 		if err := dc.Insert(float64(v * 5)); err != nil {
 			t.Fatal(err)
@@ -297,10 +279,7 @@ func TestDiagnosticsExposed(t *testing.T) {
 	if dc.Repartitions() == 0 {
 		t.Error("DC diagnostics: expected repartitions under skew")
 	}
-	dado, err := dynahist.NewDADO(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dado := mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(8)).(*dynahist.DADO)
 	for _, v := range randomValues(7, 3000, 500) {
 		if err := dado.Insert(float64(v)); err != nil {
 			t.Fatal(err)
@@ -326,19 +305,20 @@ func TestInterfaceCompliance(t *testing.T) {
 }
 
 func TestSnapshotRestorePublic(t *testing.T) {
-	dado, err := dynahist.NewDADOMemory(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dado := mustNewKind(t, dynahist.KindDADO, dynahist.WithMemory(1024)).(*dynahist.DADO)
 	values := randomValues(13, 10000, 2000)
 	insertStream(t, dado, values)
 	blob, err := dado.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := dynahist.RestoreDADO(blob)
+	h, err := dynahist.Restore(blob)
 	if err != nil {
 		t.Fatal(err)
+	}
+	restored, ok := h.(*dynahist.DADO)
+	if !ok {
+		t.Fatalf("DADO blob restored as %T", h)
 	}
 	if restored.Total() != dado.Total() || restored.MaxBuckets() != dado.MaxBuckets() {
 		t.Fatal("restored DADO differs")
@@ -348,56 +328,50 @@ func TestSnapshotRestorePublic(t *testing.T) {
 			t.Fatalf("CDF differs at %v", x)
 		}
 	}
-	dc, err := dynahist.NewDCMemory(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dc := mustNewKind(t, dynahist.KindDC, dynahist.WithMemory(1024)).(*dynahist.DC)
 	insertStream(t, dc, values)
 	blob, err = dc.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restoredDC, err := dynahist.RestoreDC(blob)
-	if err != nil {
+	if h, err = dynahist.Restore(blob); err != nil {
 		t.Fatal(err)
+	}
+	restoredDC, ok := h.(*dynahist.DC)
+	if !ok {
+		t.Fatalf("DC blob restored as %T", h)
 	}
 	if restoredDC.Total() != dc.Total() || restoredDC.SingularCount() != dc.SingularCount() {
 		t.Fatal("restored DC differs")
 	}
-	if _, err := dynahist.RestoreDADO(blob); err == nil {
-		t.Error("DC blob into RestoreDADO: want error")
-	}
-	if _, err := dynahist.RestoreDC(nil); err == nil {
+	if _, err := dynahist.Restore(nil); err == nil {
 		t.Error("nil blob: want error")
 	}
 }
 
 func TestQuantilePublic(t *testing.T) {
-	h, err := dynahist.NewDADO(32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(32)).(*dynahist.DADO)
 	// Uniform data over [0, 1000): the median should be near 500.
 	for v := range 10000 {
 		if err := h.Insert(float64(v % 1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	med, err := dynahist.Quantile(h, 0.5)
+	med, err := h.Quantile(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if med < 400 || med > 600 {
 		t.Errorf("median = %v, want ≈500", med)
 	}
-	p99, err := dynahist.Quantile(h, 0.99)
+	p99, err := h.Quantile(0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p99 < 900 {
 		t.Errorf("p99 = %v, want ≥900", p99)
 	}
-	if _, err := dynahist.Quantile(h, 0); err == nil {
+	if _, err := h.Quantile(0); err == nil {
 		t.Error("q=0: want error")
 	}
 }

@@ -36,84 +36,10 @@ type DADO = Dynamic
 
 // DVO names the Dynamic family under its V-optimal variant. It exists
 // so the variance-driven histogram is not advertised under the DADO
-// name: NewDVO returns a *DVO, which is the same type as *DADO because
-// the paper's two variants differ only in their deviation measure
-// (inspect it with Kind, or compare KindOf against KindDVO).
+// name: a *DVO is the same type as a *DADO because the paper's two
+// variants differ only in their deviation measure (inspect it with
+// Kind, or compare KindOf against KindDVO).
 type DVO = Dynamic
-
-// NewDADO returns a Dynamic Average-Deviation Optimal histogram with
-// the given bucket budget (at least 2) and two sub-buckets per bucket.
-//
-// Deprecated: use New(KindDADO, WithBuckets(buckets)).
-func NewDADO(buckets int) (*DADO, error) {
-	h, err := core.NewDADO(buckets)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: h}, nil
-}
-
-// NewDADOMemory returns a DADO sized for a byte budget using the
-// paper's accounting (§4.4): (n+1) borders plus 2n counters of 4 bytes.
-//
-// Deprecated: use New(KindDADO, WithMemory(memBytes)).
-func NewDADOMemory(memBytes int) (*DADO, error) {
-	h, err := core.NewDADOMemory(memBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: h}, nil
-}
-
-// NewDVO returns a Dynamic V-Optimal histogram with the given bucket
-// budget.
-//
-// Deprecated: use New(KindDVO, WithBuckets(buckets)).
-func NewDVO(buckets int) (*DVO, error) {
-	h, err := core.NewDVO(buckets)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: h}, nil
-}
-
-// NewDVOMemory returns a DVO sized for a byte budget.
-//
-// Deprecated: use New(KindDVO, WithMemory(memBytes)).
-func NewDVOMemory(memBytes int) (*DVO, error) {
-	h, err := core.NewDVOMemory(memBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: h}, nil
-}
-
-// NewDynamic returns a split-merge histogram with an explicit deviation
-// kind and per-bucket sub-bucket count (the paper's §4 ablation knob;
-// the paper found 2–3 comparable and finer subdivisions worse).
-//
-// Deprecated: use New(KindDADO or KindDVO, WithBuckets(buckets),
-// WithSubBuckets(subBuckets)).
-func NewDynamic(kind DeviationKind, buckets, subBuckets int) (*Dynamic, error) {
-	h, err := core.NewDynamic(core.Deviation(kind), buckets, subBuckets)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: h}, nil
-}
-
-// NewDynamicMemory is NewDynamic with a byte budget instead of a bucket
-// count.
-//
-// Deprecated: use New(KindDADO or KindDVO, WithMemory(memBytes),
-// WithSubBuckets(subBuckets)).
-func NewDynamicMemory(kind DeviationKind, memBytes, subBuckets int) (*Dynamic, error) {
-	h, err := core.NewDynamicMemory(core.Deviation(kind), memBytes, subBuckets)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{inner: h}, nil
-}
 
 // Insert adds one occurrence of v.
 func (h *Dynamic) Insert(v float64) error { h.rv = nil; return h.inner.Insert(v) }
@@ -169,29 +95,6 @@ type DC struct {
 	inner *core.DC
 	// rv is the cached read view; nil after any write.
 	rv *View
-}
-
-// NewDC returns a DC histogram with the given bucket budget.
-//
-// Deprecated: use New(KindDC, WithBuckets(buckets)).
-func NewDC(buckets int) (*DC, error) {
-	h, err := core.NewDC(buckets)
-	if err != nil {
-		return nil, err
-	}
-	return &DC{inner: h}, nil
-}
-
-// NewDCMemory returns a DC sized for a byte budget using the paper's
-// accounting (§3.1): (n+1) borders plus n counters of 4 bytes.
-//
-// Deprecated: use New(KindDC, WithMemory(memBytes)).
-func NewDCMemory(memBytes int) (*DC, error) {
-	h, err := core.NewDCMemory(memBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &DC{inner: h}, nil
 }
 
 // Insert adds one occurrence of v.

@@ -31,26 +31,10 @@ import (
 //	u32  merge budget
 //	u32  shard count n
 //	n ×  (u32 blob length, blob) — each itself a complete envelope
-//
-// Restore also accepts the pre-envelope raw blobs of internal/core and
-// internal/approx (magic "DYNS"), so catalogs written before the
-// envelope existed stay restorable.
 const (
 	envMagic      = 0x56454844 // "DHEV"
 	envVersion    = 1
 	envHeaderSize = 7
-
-	// legacyMagic is the shared magic of the raw internal/core and
-	// internal/approx snapshot blobs ("DYNS"); their kind byte sits at
-	// the same offset as the envelope's.
-	legacyMagic = 0x44594e53
-)
-
-// legacy kind bytes inside a "DYNS" blob.
-const (
-	legacyKindDC  = 1
-	legacyKindDVO = 2
-	legacyKindAC  = 3
 )
 
 // encodeEnvelope wraps a family payload in the kind-tagged envelope.
@@ -101,9 +85,6 @@ func Restore(data []byte) (Histogram, error) {
 // restoreAtDepth is Restore with the sharded-nesting level threaded
 // through.
 func restoreAtDepth(data []byte, depth int) (Histogram, error) {
-	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == legacyMagic {
-		return restoreLegacy(data)
-	}
 	kind, payload, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
@@ -150,37 +131,6 @@ func restoreAtDepth(data []byte, depth int) (Histogram, error) {
 		return &Static{inner: p, kind: kind}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown envelope kind %d", ErrBadSnapshot, int(kind))
-	}
-}
-
-// restoreLegacy rebuilds a histogram from a pre-envelope raw snapshot
-// blob; the "DYNS" header carries its own kind byte at the envelope's
-// offset.
-func restoreLegacy(data []byte) (Histogram, error) {
-	if len(data) < envHeaderSize {
-		return nil, fmt.Errorf("%w: truncated legacy snapshot", ErrBadSnapshot)
-	}
-	switch data[6] {
-	case legacyKindDC:
-		inner, err := core.RestoreDC(data)
-		if err != nil {
-			return nil, err
-		}
-		return &DC{inner: inner}, nil
-	case legacyKindDVO:
-		inner, err := core.RestoreDVO(data)
-		if err != nil {
-			return nil, err
-		}
-		return &Dynamic{inner: inner}, nil
-	case legacyKindAC:
-		inner, err := approx.Restore(data)
-		if err != nil {
-			return nil, err
-		}
-		return &AC{inner: inner}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown legacy snapshot kind %d", ErrBadSnapshot, data[6])
 	}
 }
 

@@ -139,11 +139,11 @@ func TestRestoreRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyBlobs feeds Restore the raw pre-envelope snapshot
-// blobs of internal/core and internal/approx — the format the PR-3
-// catalogs stored — and checks they still come back as the right
-// types.
-func TestRestoreLegacyBlobs(t *testing.T) {
+// TestRestoreRejectsLegacyBlobs feeds Restore the raw pre-envelope
+// snapshot blobs of internal/core and internal/approx (magic "DYNS")
+// and checks they are rejected: only the kind-tagged envelope
+// restores.
+func TestRestoreRejectsLegacyBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 
 	dc, err := core.NewDCMemory(512)
@@ -173,22 +173,17 @@ func TestRestoreLegacyBlobs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		blob func() ([]byte, error)
-		want dynahist.Kind
 	}{
-		{"dc", dc.Snapshot, dynahist.KindDC},
-		{"dvo", dvo.Snapshot, dynahist.KindDVO},
-		{"ac", ac.Snapshot, dynahist.KindAC},
+		{"dc", dc.Snapshot},
+		{"dvo", dvo.Snapshot},
+		{"ac", ac.Snapshot},
 	} {
 		raw, err := tc.blob()
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := dynahist.Restore(raw)
-		if err != nil {
-			t.Fatalf("%s: Restore of legacy blob: %v", tc.name, err)
-		}
-		if got := dynahist.KindOf(h); got != tc.want {
-			t.Errorf("%s: legacy blob restored as %v, want %v", tc.name, got, tc.want)
+		if _, err := dynahist.Restore(raw); !errors.Is(err, dynahist.ErrBadSnapshot) {
+			t.Errorf("%s: Restore of raw DYNS blob = %v, want ErrBadSnapshot", tc.name, err)
 		}
 	}
 }

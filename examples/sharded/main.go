@@ -97,8 +97,8 @@ func main() {
 	fmt.Printf("\nspeedup: %.1fx\n", tMutex.Seconds()/tSharded.Seconds())
 
 	// Reads pin the union-superposed merged view once (View also
-	// surfaces any merge error directly — no MergeErr polling) and
-	// answer every statistic lock-free off the pinned snapshot.
+	// surfaces any merge error directly) and answer every statistic
+	// lock-free off the pinned snapshot.
 	view, err := sharded.View()
 	if err != nil {
 		log.Fatal(err)

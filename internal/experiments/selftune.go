@@ -7,7 +7,6 @@ import (
 
 	"dynahist"
 	"dynahist/internal/dist"
-	"dynahist/internal/histogram"
 	"dynahist/internal/tuner"
 )
 
@@ -100,7 +99,7 @@ func selfTuneRun(seed int64, points, domain, rounds, qWidth int) ([]float64, err
 	if err != nil {
 		return nil, err
 	}
-	st, err := storeOfBuckets(view.Buckets())
+	st, err := tuner.StoreOfView(view)
 	if err != nil {
 		return nil, err
 	}
@@ -144,21 +143,4 @@ func selfTuneRun(seed int64, points, domain, rounds, qWidth int) ([]float64, err
 		series = append(series, errNow())
 	}
 	return series, nil
-}
-
-// storeOfBuckets flattens a served bucket list into a mutable Store —
-// the same overlay construction the serving layer uses.
-func storeOfBuckets(pb []dynahist.Bucket) (*histogram.Store, error) {
-	if len(pb) == 0 {
-		return nil, fmt.Errorf("empty bucket list")
-	}
-	k := len(pb[0].Counters)
-	ib := make([]histogram.Bucket, len(pb))
-	for i, b := range pb {
-		if len(b.Counters) != k {
-			return nil, fmt.Errorf("mixed bucket resolution")
-		}
-		ib[i] = histogram.Bucket{Left: b.Left, Right: b.Right, Subs: b.Counters}
-	}
-	return histogram.StoreOfBuckets(ib, k)
 }

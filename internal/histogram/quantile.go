@@ -58,36 +58,3 @@ func quantileInBucket(b *Bucket, acc, target, eps float64) float64 {
 	}
 	return b.Right
 }
-
-// Quantile returns the smallest x such that the bucket list's CDF at x
-// is at least q, for q in (0, 1]. Within a sub-bucket the position is
-// linearly interpolated (uniform assumption). The bucket list must hold
-// positive mass.
-//
-// Quantiles are the building block of equi-depth repartitioning and a
-// useful API in their own right: a query optimizer uses them for
-// percentile statistics and histogram-based sampling. This is the
-// linear-walk form for ad-hoc bucket lists; a pinned View answers the
-// same question in O(log n) off its prefix sums.
-func Quantile(buckets []Bucket, q float64) (float64, error) {
-	if err := checkQuantileArg(q); err != nil {
-		return 0, err
-	}
-	total := TotalCount(buckets)
-	if total <= 0 {
-		return 0, errNoMass()
-	}
-	target := q * total
-	eps := quantileEps(total)
-	acc := 0.0
-	for i := range buckets {
-		b := &buckets[i]
-		c := b.Count()
-		if acc+c < target-eps {
-			acc += c
-			continue
-		}
-		return quantileInBucket(b, acc, target, eps), nil
-	}
-	return buckets[len(buckets)-1].Right, nil
-}

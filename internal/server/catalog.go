@@ -30,11 +30,11 @@ import (
 //	u16  name length, then name bytes
 //	u32  per-shard mem_bytes
 //	u64  seed
-//	u64  covered WAL LSN (version ≥ 3)
-//	u64  site watermark (version ≥ 4)
+//	u64  covered WAL LSN
+//	u64  site watermark
 //	u32  envelope length, then the envelope bytes
-//	u32  feedback journal length, then the journal bytes (version ≥ 5;
-//	     zero length when the entry holds no feedback)
+//	u32  feedback journal length, then the journal bytes (zero length
+//	     when the entry holds no feedback)
 //
 // The covered WAL LSN is the durability linchpin: it says exactly
 // which write-ahead-log records this snapshot already contains, and it
@@ -43,53 +43,27 @@ import (
 // between the catalog write and the WAL's own position update can
 // never double-apply the overlap.
 //
-// The site watermark (version 4) is the multi-node analogue: the
-// monotonic per-site ingest counter the snapshot covers, in the site's
-// logical sequence rather than the local WAL's. Peers compare it during
+// The site watermark is the multi-node analogue: the monotonic
+// per-site ingest counter the snapshot covers, in the site's logical
+// sequence rather than the local WAL's. Peers compare it during
 // anti-entropy, and startup re-seeds the server's advertised watermark
 // from it so a restarted node never announces older data as newer.
-// The feedback journal (version 5) is the self-tuning subsystem's
-// persistence: the entry's journaled query-feedback records
-// (internal/tuner's "DHTJ" snapshot format), so tuning survives
-// checkpoint/restore. It is opaque at this layer — decoded lazily by
-// the server when tuning is enabled, preserved verbatim otherwise.
+// The feedback journal is the self-tuning subsystem's persistence: the
+// entry's journaled query-feedback records (internal/tuner's "DHTJ"
+// snapshot format), so tuning survives checkpoint/restore. It is
+// opaque at this layer — decoded lazily by the server when tuning is
+// enabled, preserved verbatim otherwise.
+//
+// Only the current version decodes. A file of any other version is
+// rejected with ErrCatalog, and startup skips it like any corrupt file.
 const (
 	catMagic   = 0x48434154 // "HCAT"
 	catVersion = 5
-
-	// catVersionV4 added the site watermark but predates the feedback
-	// journal; decoded with an empty journal.
-	catVersionV4 = 4
-
-	// catVersionV3 added the covered WAL LSN but predates the site
-	// watermark; decoded with a zero watermark.
-	catVersionV3 = 3
-
-	// catVersionV2 is the pre-WAL envelope layout without the covered
-	// LSN; decoded with a zero position (replay everything, correct for
-	// catalogs written before the WAL existed).
-	catVersionV2 = 2
-
-	// catVersionLegacy is the pre-envelope layout: a family code byte
-	// after the version, then name/config, then one raw snapshot blob
-	// per shard. Still decoded (dynahist.Restore accepts the raw
-	// blobs) so an upgraded server keeps the catalog it already has;
-	// the next checkpoint rewrites the file at the current version.
-	catVersionLegacy = 1
 
 	// CatalogExt is the catalog file suffix; the stem is the histogram
 	// name.
 	CatalogExt = ".hist"
 )
-
-// legacyFamilyKinds maps a v1 family code onto the member kind its
-// shards must restore to.
-var legacyFamilyKinds = map[byte]dynahist.Kind{
-	1: dynahist.KindDADO,
-	2: dynahist.KindDVO,
-	3: dynahist.KindDC,
-	4: dynahist.KindAC,
-}
 
 // ErrCatalog reports a malformed catalog file.
 var ErrCatalog = errors.New("server: malformed catalog entry")
@@ -138,11 +112,7 @@ func DecodeEntry(data []byte) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case catVersion, catVersionV4, catVersionV3, catVersionV2:
-	case catVersionLegacy:
-		return decodeEntryV1(&r)
-	default:
+	if version != catVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCatalog, version)
 	}
 	nameLen, err := r.U16()
@@ -168,16 +138,13 @@ func DecodeEntry(data []byte) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	var walLSN, siteWM uint64
-	if version >= catVersionV3 {
-		if walLSN, err = r.U64(); err != nil {
-			return nil, err
-		}
+	walLSN, err := r.U64()
+	if err != nil {
+		return nil, err
 	}
-	if version >= catVersionV4 {
-		if siteWM, err = r.U64(); err != nil {
-			return nil, err
-		}
+	siteWM, err := r.U64()
+	if err != nil {
+		return nil, err
 	}
 	blobLen, err := r.U32()
 	if err != nil {
@@ -187,19 +154,17 @@ func DecodeEntry(data []byte) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	jLen, err := r.U32()
+	if err != nil {
+		return nil, err
+	}
 	var journal []byte
-	if version >= catVersion {
-		jLen, err := r.U32()
+	if jLen > 0 {
+		j, err := r.Bytes(int(jLen))
 		if err != nil {
 			return nil, err
 		}
-		if jLen > 0 {
-			j, err := r.Bytes(int(jLen))
-			if err != nil {
-				return nil, err
-			}
-			journal = append([]byte(nil), j...)
-		}
+		journal = append([]byte(nil), j...)
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCatalog, r.Remaining())
@@ -228,82 +193,6 @@ func DecodeEntry(data []byte) (*entry, error) {
 	}
 	e.siteWM.Store(siteWM)
 	return e, nil
-}
-
-// decodeEntryV1 parses the rest of a version-1 catalog entry (the
-// cursor sits just past the version field): family code, name,
-// config, then one raw snapshot blob per shard. The per-shard blobs
-// go through the same dynahist.Restore door — it accepts the
-// pre-envelope raw format — and the family code is cross-checked
-// against what the blobs actually restore to.
-func decodeEntryV1(r *binenc.Reader) (*entry, error) {
-	code, err := r.U8()
-	if err != nil {
-		return nil, err
-	}
-	wantKind, ok := legacyFamilyKinds[code]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown family code %d", ErrCatalog, code)
-	}
-	nameLen, err := r.U16()
-	if err != nil {
-		return nil, err
-	}
-	nameBytes, err := r.Bytes(int(nameLen))
-	if err != nil {
-		return nil, err
-	}
-	name := string(nameBytes)
-	if !ValidName(name) {
-		return nil, fmt.Errorf("%w: invalid name %q", ErrCatalog, name)
-	}
-	memBytes, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if memBytes == 0 || memBytes > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: implausible mem_bytes %d", ErrCatalog, memBytes)
-	}
-	seed, err := r.U64()
-	if err != nil {
-		return nil, err
-	}
-	nShards, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if nShards == 0 || uint64(nShards)*4 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrCatalog, nShards)
-	}
-	blobs := make([][]byte, nShards)
-	for i := range blobs {
-		n, err := r.U32()
-		if err != nil {
-			return nil, err
-		}
-		blobs[i], err = r.Bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCatalog, r.Remaining())
-	}
-	h, err := dynahist.RestoreSharded(blobs, dynahist.Restore)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCatalog, err)
-	}
-	if got := h.MemberKind(); got != wantKind {
-		return nil, fmt.Errorf("%w: family code says %v but shards restore as %v",
-			ErrCatalog, wantKind, got)
-	}
-	return &entry{
-		name:     name,
-		memBytes: int(memBytes),
-		shards:   int(nShards),
-		seed:     int64(seed),
-		h:        h,
-	}, nil
 }
 
 // catalogPath returns the catalog file for a histogram name.

@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"dynahist"
-	"dynahist/internal/histogram"
 	"dynahist/internal/tuner"
 	"dynahist/internal/wire"
 )
@@ -193,41 +192,17 @@ func (s *Server) viewOf(e *entry) (*dynahist.View, error) {
 	return tv, nil
 }
 
-// buildTunedView replays the journal onto a flat Store built from the
-// merged view's buckets and wraps the result as a servable view. A nil
-// return means the overlay could not be built (empty or mixed-K bucket
-// lists); the caller serves the untuned view.
+// buildTunedView replays the journal onto an overlay of the merged
+// view and wraps the result as a servable view. A nil return means the
+// overlay could not be built (empty or mixed-K bucket lists); the
+// caller serves the untuned view.
 func buildTunedView(v *dynahist.View, t *tuner.Tuner) *dynahist.View {
-	pb := v.Buckets()
-	if len(pb) == 0 {
-		return nil
-	}
-	k := len(pb[0].Counters)
-	if k == 0 {
-		return nil
-	}
-	ib := make([]histogram.Bucket, len(pb))
-	for i, b := range pb {
-		if len(b.Counters) != k {
-			return nil
-		}
-		ib[i] = histogram.Bucket{Left: b.Left, Right: b.Right, Subs: b.Counters}
-	}
-	st, err := histogram.StoreOfBuckets(ib, k)
+	st, err := tuner.StoreOfView(v)
 	if err != nil {
 		return nil
 	}
 	t.ApplyTo(st)
-	tuned := st.Buckets()
-	out := make([]dynahist.Bucket, len(tuned))
-	for i, b := range tuned {
-		out[i] = dynahist.Bucket{Left: b.Left, Right: b.Right, Counters: b.Subs}
-	}
-	h, err := dynahist.NewStaticFromBuckets(out)
-	if err != nil {
-		return nil
-	}
-	tv, err := h.View()
+	tv, err := tuner.ViewOfStore(st)
 	if err != nil {
 		return nil
 	}

@@ -372,73 +372,3 @@ func TestWALIngestFaults(t *testing.T) {
 		t.Fatalf("AppendedLSN = %d, want 3 (failed appends must not count)", st.AppendedLSN)
 	}
 }
-
-// TestCatalogOldVersionsStillDecode pins backward compatibility: a
-// catalog entry written in the pre-WAL v2 layout (no covered-LSN
-// field) still restores with a zero position (replay everything), and
-// a v3 entry (covered LSN but no site watermark) restores with a zero
-// watermark.
-func TestCatalogOldVersionsStillDecode(t *testing.T) {
-	reg := NewRegistry()
-	if _, err := reg.Create(wire.CreateRequest{Name: "old", Family: FamilyDADO, MemBytes: 1024, Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := reg.get("old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.h.InsertBatch(seqValues(10)); err != nil {
-		t.Fatal(err)
-	}
-	v5, err := EncodeEntry(e, 77, 9001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The v5 blob ends with the feedback-journal field (u32 zero
-	// length here — no feedback observed); a v4 blob is v5 without it.
-	v4 := append([]byte(nil), v5[:len(v5)-4]...)
-	v4[4], v4[5] = 4, 0 // little-endian version 4
-	// The covered LSN and site watermark sit back to back after
-	// name/mem/seed. Rewrite the blob as v2 (drop both) and as v3
-	// (drop only the watermark), stamping the old version numbers.
-	nameLen := len("old")
-	cut := 4 + 2 + 2 + nameLen + 4 + 8
-	v2 := append([]byte(nil), v4[:cut]...)
-	v2 = append(v2, v4[cut+16:]...)
-	v2[4], v2[5] = 2, 0 // little-endian version 2
-	v3 := append([]byte(nil), v4[:cut+8]...)
-	v3 = append(v3, v4[cut+16:]...)
-	v3[4], v3[5] = 3, 0 // little-endian version 3
-
-	got, err := DecodeEntry(v2)
-	if err != nil {
-		t.Fatalf("DecodeEntry(v2): %v", err)
-	}
-	if got.walLSN != 0 || got.siteWM.Load() != 0 {
-		t.Fatalf("v2 entry decoded with walLSN %d siteWM %d, want 0 0", got.walLSN, got.siteWM.Load())
-	}
-	if got.h.Total() != 10 {
-		t.Fatalf("v2 entry total = %v, want 10", got.h.Total())
-	}
-
-	got3, err := DecodeEntry(v3)
-	if err != nil {
-		t.Fatalf("DecodeEntry(v3): %v", err)
-	}
-	if got3.walLSN != 77 || got3.siteWM.Load() != 0 {
-		t.Fatalf("v3 entry decoded with walLSN %d siteWM %d, want 77 0", got3.walLSN, got3.siteWM.Load())
-	}
-
-	// And both the v4 layout and the current v5 round trip keep the
-	// stamps.
-	for label, blob := range map[string][]byte{"v4": v4, "v5": v5} {
-		got, err := DecodeEntry(blob)
-		if err != nil {
-			t.Fatalf("DecodeEntry(%s): %v", label, err)
-		}
-		if got.walLSN != 77 || got.siteWM.Load() != 9001 {
-			t.Fatalf("%s entry decoded with walLSN %d siteWM %d, want 77 9001",
-				label, got.walLSN, got.siteWM.Load())
-		}
-	}
-}

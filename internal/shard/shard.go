@@ -110,9 +110,8 @@ type Engine struct {
 	rr    atomic.Uint64 // round-robin cursor
 	epoch atomic.Uint64 // bumped on every write
 
-	snapMu   sync.Mutex // serialises snapshot rebuilds
-	snap     atomic.Pointer[snapshot]
-	mergeErr atomic.Pointer[error]
+	snapMu sync.Mutex // serialises snapshot rebuilds
+	snap   atomic.Pointer[snapshot]
 
 	// scratch recycles the per-shard value groups of the batch paths,
 	// so steady-state batch ingest routes without allocating: the
@@ -354,7 +353,7 @@ func (e *Engine) applyBatch(vs []float64, op func(Member, float64) error, batchO
 // failure the last successfully merged snapshot is returned alongside
 // the error (never nil: an empty view stands in before the first
 // successful merge), so callers choose between failing soft (the
-// legacy read methods) and surfacing the error (View).
+// per-statistic read methods) and surfacing the error (View).
 func (e *Engine) view() (*snapshot, error) {
 	cur := e.epoch.Load()
 	if s := e.snap.Load(); s != nil && s.epoch == cur {
@@ -394,14 +393,12 @@ func (e *Engine) view() (*snapshot, error) {
 		// last good view rather than silently reporting an empty
 		// histogram; the stale epoch stamp means the next read retries
 		// the merge.
-		e.mergeErr.Store(&err)
 		if prev := e.snap.Load(); prev != nil {
 			return prev, err
 		}
 		return &snapshot{epoch: cur, view: histogram.EmptyView()}, err
 	}
 	s := &snapshot{epoch: cur, view: v}
-	e.mergeErr.Store(nil)
 	e.snap.Store(s)
 	return s, nil
 }
@@ -409,27 +406,13 @@ func (e *Engine) view() (*snapshot, error) {
 // View pins the current merged state as an immutable histogram.View:
 // one merge (cached under the epoch counter, so usually free) and then
 // every statistic answered lock-free off the pinned snapshot. Unlike
-// the fail-soft read methods it returns the merge error directly —
-// callers never have to poll MergeErr after a suspicious zero answer.
+// the fail-soft read methods it returns the merge error directly.
 func (e *Engine) View() (*histogram.View, error) {
 	s, err := e.view()
 	if err != nil {
 		return nil, err
 	}
 	return s.view, nil
-}
-
-// MergeErr returns the error from the most recent failed merged-view
-// rebuild, or nil if the last rebuild succeeded. While non-nil, reads
-// serve the last successfully merged snapshot.
-//
-// Deprecated: pin the merged state with View, which returns the merge
-// error directly instead of requiring this side-channel poll.
-func (e *Engine) MergeErr() error {
-	if p := e.mergeErr.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // read returns the merged view for the fail-soft read methods: the

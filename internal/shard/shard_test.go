@@ -258,7 +258,7 @@ func TestMergeFailureKeepsLastGoodView(t *testing.T) {
 	if got := e.Total(); got != 1 {
 		t.Fatalf("Total = %v, want 1", got)
 	}
-	if err := e.MergeErr(); err != nil {
+	if _, err := e.View(); err != nil {
 		t.Fatalf("unexpected merge error: %v", err)
 	}
 	// Second insert makes the member's bucket list invalid: reads must
@@ -269,10 +269,7 @@ func TestMergeFailureKeepsLastGoodView(t *testing.T) {
 	if got := e.Total(); got != 1 {
 		t.Fatalf("Total after failed merge = %v, want last good 1", got)
 	}
-	if err := e.MergeErr(); err == nil {
-		t.Fatal("MergeErr = nil after failed merge")
-	}
-	// View surfaces the merge error directly — no side-channel poll.
+	// View surfaces the merge error directly.
 	if _, err := e.View(); err == nil {
 		t.Fatal("View after failed merge: want error")
 	}

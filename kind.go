@@ -97,36 +97,6 @@ func (k Kind) Maintained() bool {
 	return false
 }
 
-// staticKind maps a static-construction Kind onto the legacy
-// StaticKind enum of BuildStatic.
-func (k Kind) staticKind() (StaticKind, bool) {
-	switch k {
-	case KindEquiWidth:
-		return EquiWidth, true
-	case KindEquiDepth:
-		return EquiDepth, true
-	case KindCompressed:
-		return Compressed, true
-	case KindVOptimal:
-		return VOptimal, true
-	case KindSADO:
-		return SADO, true
-	case KindSSBM:
-		return SSBM, true
-	}
-	return 0, false
-}
-
-// kindOfStatic is the inverse of staticKind.
-var kindOfStatic = map[StaticKind]Kind{
-	EquiWidth:  KindEquiWidth,
-	EquiDepth:  KindEquiDepth,
-	Compressed: KindCompressed,
-	VOptimal:   KindVOptimal,
-	SADO:       KindSADO,
-	SSBM:       KindSSBM,
-}
-
 // ParseKind returns the Kind with the given canonical name (as printed
 // by Kind.String, case-insensitive), or ErrBadKind.
 func ParseKind(name string) (Kind, error) {

@@ -6,6 +6,7 @@ import (
 	"dynahist/internal/approx"
 	"dynahist/internal/core"
 	"dynahist/internal/histogram"
+	"dynahist/internal/static"
 )
 
 // Option configures New. Options that do not apply to the kind being
@@ -114,12 +115,11 @@ func WithValues(values []int) Option {
 //	s, err := dynahist.New(dynahist.KindSADO,
 //	        dynahist.WithValues(data), dynahist.WithBuckets(32))
 //
-// replacing the per-family constructors (NewDADO, NewDC, NewAC,
-// BuildStatic, …), which remain as deprecated wrappers. Exactly one of
-// WithBuckets and WithMemory must be given; options that do not apply
-// to the kind are rejected with ErrBadOption. The returned Histogram
-// also implements BatchWriter and Snapshotter, and Restore rebuilds it
-// from its Snapshot without the caller naming the kind again.
+// Exactly one of WithBuckets and WithMemory must be given; options
+// that do not apply to the kind are rejected with ErrBadOption. The
+// returned Histogram also implements BatchWriter and Snapshotter, and
+// Restore rebuilds it from its Snapshot without the caller naming the
+// kind again.
 //
 // KindSharded cannot be built here — a sharded engine needs a member
 // factory; use NewSharded. KindStatic carries no construction
@@ -140,8 +140,7 @@ func New(kind Kind, opts ...Option) (Histogram, error) {
 	case KindAC:
 		return c.buildAC()
 	default:
-		sk, _ := kind.staticKind()
-		return c.buildStatic(kind, sk)
+		return c.buildStatic(kind)
 	}
 }
 
@@ -195,7 +194,7 @@ func (c *builderConfig) validate(kind Kind) error {
 			return fmt.Errorf("%w: sample capacity %d < 1", ErrBadOption, c.sampleCap)
 		}
 	}
-	if _, isStatic := kind.staticKind(); isStatic {
+	if _, isStatic := staticKinds[kind]; isStatic {
 		if !c.valuesSet {
 			return fmt.Errorf("%w: static construction %v needs WithValues", ErrBadOption, kind)
 		}
@@ -297,7 +296,7 @@ func (c *builderConfig) buildAC() (Histogram, error) {
 	return h, nil
 }
 
-func (c *builderConfig) buildStatic(kind Kind, sk StaticKind) (Histogram, error) {
+func (c *builderConfig) buildStatic(kind Kind) (Histogram, error) {
 	n := c.buckets
 	if n == 0 {
 		var err error
@@ -305,10 +304,13 @@ func (c *builderConfig) buildStatic(kind Kind, sk StaticKind) (Histogram, error)
 			return nil, err
 		}
 	}
-	h, err := BuildStatic(sk, c.values, n)
+	tr, err := trackerOf(c.values)
 	if err != nil {
 		return nil, err
 	}
-	h.kind = kind
-	return h, nil
+	h, err := static.Build(staticKinds[kind], tr, n)
+	if err != nil {
+		return nil, err
+	}
+	return &Static{inner: h, kind: kind}, nil
 }

@@ -202,28 +202,6 @@ func TestRestoreWithoutNamingFamily(t *testing.T) {
 	}
 }
 
-// TestDeprecatedRestoresStillWork exercises the thin wrappers over the
-// new door, including their kind checks.
-func TestDeprecatedRestoresStillWork(t *testing.T) {
-	fs, _ := kindValues(1000)
-
-	dado, _ := dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
-	_ = dynahist.InsertAll(dado, fs)
-	dadoBlob, err := dado.(dynahist.Snapshotter).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dynahist.RestoreDADO(dadoBlob); err != nil {
-		t.Errorf("RestoreDADO on envelope blob: %v", err)
-	}
-	if _, err := dynahist.RestoreDC(dadoBlob); !errors.Is(err, dynahist.ErrBadSnapshot) {
-		t.Errorf("RestoreDC(dado blob) = %v, want ErrBadSnapshot", err)
-	}
-	if _, err := dynahist.RestoreAC(dadoBlob); !errors.Is(err, dynahist.ErrBadSnapshot) {
-		t.Errorf("RestoreAC(dado blob) = %v, want ErrBadSnapshot", err)
-	}
-}
-
 // TestNewOptionValidation checks that the builder rejects misuse with
 // the typed sentinels instead of silently ignoring knobs.
 func TestNewOptionValidation(t *testing.T) {
@@ -343,7 +321,7 @@ func TestTypedSentinels(t *testing.T) {
 	if err := h.Delete(1); !errors.Is(err, dynahist.ErrEmptyHistogram) {
 		t.Errorf("Delete on empty DC = %v, want ErrEmptyHistogram", err)
 	}
-	if _, err := dynahist.Quantile(h, 0.5); !errors.Is(err, dynahist.ErrEmptyHistogram) {
+	if _, err := h.(dynahist.Estimator).Quantile(0.5); !errors.Is(err, dynahist.ErrEmptyHistogram) {
 		t.Errorf("Quantile on empty = %v, want ErrEmptyHistogram", err)
 	}
 	if _, err := dynahist.New(dynahist.KindDADO, dynahist.WithMemory(2)); !errors.Is(err, dynahist.ErrBadBudget) {

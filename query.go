@@ -1,10 +1,6 @@
 package dynahist
 
-import (
-	"fmt"
-
-	"dynahist/internal/histogram"
-)
+import "fmt"
 
 // Range is one inclusive integer-value range query [Lo, Hi].
 type Range struct {
@@ -108,16 +104,4 @@ func Describe(h Histogram, spec QuerySpec) (*Summary, error) {
 		return nil, err
 	}
 	return v.Describe(spec)
-}
-
-// Quantile returns the smallest value x such that approximately a
-// fraction q of the summarised points are ≤ x, for q in (0, 1]. It
-// works for any histogram via its bucket list.
-//
-// Deprecated: use the Quantile method every Estimator in this package
-// has (or pin a View for several quantiles) — it answers off the
-// pinned read plane instead of walking a fresh Buckets() copy per
-// call.
-func Quantile(h Histogram, q float64) (float64, error) {
-	return histogram.Quantile(toInternal(h.Buckets()), q)
 }

@@ -102,7 +102,7 @@ func (m memberAdapter) DeleteBatch(vs []float64) error { return DeleteAll(m.h, v
 // factory — typically one of this package's constructors:
 //
 //	s, _ := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-//	    return dynahist.NewDADOMemory(1024)
+//	    return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
 //	}, dynahist.WithShards(8))
 //
 // factory is called once per shard and must return independent
@@ -155,9 +155,8 @@ func (s *Sharded) DeleteBatch(vs []float64) error { return s.e.DeleteBatch(vs) }
 // View pins the current merged state as an immutable snapshot: one
 // merged-union materialisation (a cache hit when no write landed since
 // the last one), then every statistic lock-free off the pinned state.
-// Unlike the fail-soft per-statistic reads it returns the merge error
-// directly — a caller never gets a zero answer and then has to poll
-// MergeErr to learn the view could not be rebuilt. See Estimator.
+// Unlike the fail-soft per-statistic reads, which keep serving the
+// last good merge, it returns the merge error directly. See Estimator.
 func (s *Sharded) View() (*View, error) {
 	iv, err := s.e.View()
 	if err != nil {
@@ -189,13 +188,3 @@ func (s *Sharded) NumShards() int { return s.e.NumShards() }
 // ShardTotals returns each shard's own point count — a balance
 // diagnostic for choosing between the striping policies.
 func (s *Sharded) ShardTotals() []float64 { return s.e.ShardTotals() }
-
-// MergeErr returns the error from the most recent failed merged-view
-// rebuild, or nil. A merge can only fail when a user-supplied member
-// produces an invalid bucket list; while it does, reads keep serving
-// the last successfully merged snapshot.
-//
-// Deprecated: pin the merged state with View, which returns the merge
-// error directly instead of requiring this side-channel poll after a
-// suspicious answer.
-func (s *Sharded) MergeErr() error { return s.e.MergeErr() }

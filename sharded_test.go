@@ -57,12 +57,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	)
 	values := uniformValues(17, n, domain)
 
-	single, err := dynahist.NewDADOMemory(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := mustNewKind(t, dynahist.KindDADO, dynahist.WithMemory(mem))
 	shardedH, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-		return dynahist.NewDADOMemory(mem / shards)
+		return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(mem/shards))
 	}, dynahist.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +103,7 @@ func TestShardedHistogramInterface(t *testing.T) {
 
 func TestShardedBatchAndDelete(t *testing.T) {
 	s, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-		return dynahist.NewDCMemory(512)
+		return dynahist.New(dynahist.KindDC, dynahist.WithMemory(512))
 	}, dynahist.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +136,7 @@ func TestShardedBatchAndDelete(t *testing.T) {
 
 func TestShardedOptions(t *testing.T) {
 	s, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-		return dynahist.NewDCMemory(512)
+		return dynahist.New(dynahist.KindDC, dynahist.WithMemory(512))
 	}, dynahist.WithShards(3), dynahist.WithShardPolicy(dynahist.ShardRoundRobin),
 		dynahist.WithMergeBudget(16))
 	if err != nil {
@@ -185,16 +182,13 @@ func TestShardedThroughputVsConcurrent(t *testing.T) {
 	concurrentElapsed := time.Duration(math.MaxInt64)
 	shardedElapsed := time.Duration(math.MaxInt64)
 	for range 3 {
-		h, err := dynahist.NewDADOMemory(mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := dynahist.NewConcurrent(h)
+		c := dynahist.NewConcurrent(mustNewKind(t, dynahist.KindDADO, dynahist.WithMemory(mem)))
 		if d := shardedFanOut(t, writers, values, c.Insert); d < concurrentElapsed {
 			concurrentElapsed = d
 		}
+		var err error
 		s, err = dynahist.NewSharded(func() (dynahist.Histogram, error) {
-			return dynahist.NewDADOMemory(mem / writers)
+			return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(mem/writers))
 		}, dynahist.WithShards(writers))
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +218,7 @@ func TestShardedThroughputVsConcurrent(t *testing.T) {
 // under racing writers and readers.
 func TestShardedConcurrentReads(t *testing.T) {
 	s, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-		return dynahist.NewDCMemory(512)
+		return dynahist.New(dynahist.KindDC, dynahist.WithMemory(512))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,24 +263,19 @@ func TestShardedConcurrentReads(t *testing.T) {
 type noSnapHistogram struct{ dynahist.Histogram }
 
 // TestShardedSnapshotRestore round-trips a Sharded histogram of each
-// snapshottable family through SnapshotShards/RestoreSharded and
-// asserts the recovered engine answers Total and CDF identically, then
-// keeps maintaining.
+// snapshottable family through Snapshot and Restore and asserts the
+// recovered engine answers Total and CDF identically, then keeps
+// maintaining.
 func TestShardedSnapshotRestore(t *testing.T) {
 	families := []struct {
 		name    string
 		factory func() (dynahist.Histogram, error)
-		restore func([]byte) (dynahist.Histogram, error)
 	}{
-		{"dado",
-			func() (dynahist.Histogram, error) { return dynahist.NewDADOMemory(1024) },
-			func(b []byte) (dynahist.Histogram, error) { return dynahist.RestoreDADO(b) }},
-		{"dc",
-			func() (dynahist.Histogram, error) { return dynahist.NewDCMemory(1024) },
-			func(b []byte) (dynahist.Histogram, error) { return dynahist.RestoreDC(b) }},
-		{"ac",
-			func() (dynahist.Histogram, error) { return dynahist.NewACBuckets(16, 500, 42) },
-			func(b []byte) (dynahist.Histogram, error) { return dynahist.RestoreAC(b) }},
+		{"dado", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024)) }},
+		{"dc", func() (dynahist.Histogram, error) { return dynahist.New(dynahist.KindDC, dynahist.WithMemory(1024)) }},
+		{"ac", func() (dynahist.Histogram, error) {
+			return dynahist.New(dynahist.KindAC, dynahist.WithBuckets(16), dynahist.WithSampleCapacity(500), dynahist.WithSeed(42))
+		}},
 	}
 	values := uniformValues(23, 20000, 2000)
 	for _, fam := range families {
@@ -298,13 +287,17 @@ func TestShardedSnapshotRestore(t *testing.T) {
 			if err := s.InsertBatch(values); err != nil {
 				t.Fatal(err)
 			}
-			blobs, err := s.SnapshotShards()
+			blob, err := s.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := dynahist.RestoreSharded(blobs, fam.restore)
+			h, err := dynahist.Restore(blob)
 			if err != nil {
 				t.Fatal(err)
+			}
+			r, ok := h.(*dynahist.Sharded)
+			if !ok {
+				t.Fatalf("sharded blob restored as %T", h)
 			}
 			if r.NumShards() != s.NumShards() {
 				t.Fatalf("NumShards = %d, want %d", r.NumShards(), s.NumShards())
@@ -329,27 +322,33 @@ func TestShardedSnapshotRestore(t *testing.T) {
 
 func TestShardedSnapshotErrors(t *testing.T) {
 	s, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-		h, err := dynahist.NewDADOMemory(512)
+		h, err := dynahist.New(dynahist.KindDADO, dynahist.WithMemory(512))
 		return noSnapHistogram{h}, err
 	}, dynahist.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SnapshotShards(); err == nil {
+	if _, err := s.Snapshot(); err == nil {
 		t.Error("snapshot over non-snapshottable members accepted")
 	}
 
-	if _, err := dynahist.RestoreSharded(nil, func(b []byte) (dynahist.Histogram, error) {
-		return dynahist.RestoreDADO(b)
-	}); err == nil {
-		t.Error("restore of zero blobs accepted")
+	good, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
+		return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(512))
+	}, dynahist.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := dynahist.RestoreSharded([][]byte{{1, 2, 3}}, nil); err == nil {
-		t.Error("nil restorer accepted")
+	if err := good.InsertBatch(uniformValues(31, 1000, 100)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := dynahist.RestoreSharded([][]byte{{1, 2, 3}}, func(b []byte) (dynahist.Histogram, error) {
-		return dynahist.RestoreDADO(b)
-	}); err == nil {
+	blob, err := good.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dynahist.Restore(blob[:len(blob)-1]); err == nil {
+		t.Error("truncated sharded blob accepted")
+	}
+	if _, err := dynahist.Restore([]byte{1, 2, 3}); err == nil {
 		t.Error("garbage blob accepted")
 	}
 }

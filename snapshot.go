@@ -1,12 +1,5 @@
 package dynahist
 
-import (
-	"errors"
-	"fmt"
-
-	"dynahist/internal/shard"
-)
-
 // Snapshotter is implemented by every histogram in this package whose
 // complete state can be serialized: the maintained families (DC,
 // DADO/DVO, AC), the static constructions, and the Sharded engine.
@@ -86,103 +79,4 @@ func (s *Sharded) Snapshot() ([]byte, error) {
 	}
 	payload := encodeShardedPayload(ShardPolicy(s.e.Policy()), s.e.MergeBudget(), blobs)
 	return encodeEnvelope(KindSharded, payload), nil
-}
-
-// RestoreDC rebuilds a DC histogram from a blob produced by
-// (*DC).Snapshot.
-//
-// Deprecated: use Restore, which reads the envelope's kind tag and
-// works for every family.
-func RestoreDC(data []byte) (*DC, error) {
-	h, err := Restore(data)
-	if err != nil {
-		return nil, err
-	}
-	dc, ok := h.(*DC)
-	if !ok {
-		return nil, fmt.Errorf("%w: blob holds a %v, not a %v", ErrBadSnapshot, KindOf(h), KindDC)
-	}
-	return dc, nil
-}
-
-// RestoreDADO rebuilds a DADO/DVO histogram from a blob produced by
-// (*Dynamic).Snapshot.
-//
-// Deprecated: use Restore, which reads the envelope's kind tag and
-// works for every family.
-func RestoreDADO(data []byte) (*Dynamic, error) {
-	h, err := Restore(data)
-	if err != nil {
-		return nil, err
-	}
-	d, ok := h.(*Dynamic)
-	if !ok {
-		return nil, fmt.Errorf("%w: blob holds a %v, not a %v or %v",
-			ErrBadSnapshot, KindOf(h), KindDADO, KindDVO)
-	}
-	return d, nil
-}
-
-// RestoreAC rebuilds an AC histogram from a blob produced by
-// (*AC).Snapshot.
-//
-// Deprecated: use Restore, which reads the envelope's kind tag and
-// works for every family.
-func RestoreAC(data []byte) (*AC, error) {
-	h, err := Restore(data)
-	if err != nil {
-		return nil, err
-	}
-	ac, ok := h.(*AC)
-	if !ok {
-		return nil, fmt.Errorf("%w: blob holds a %v, not an %v", ErrBadSnapshot, KindOf(h), KindAC)
-	}
-	return ac, nil
-}
-
-// SnapshotShards serializes every shard of a Sharded histogram and
-// returns one blob per shard, in shard order.
-//
-// Deprecated: use (*Sharded).Snapshot, which frames the shard blobs
-// and the engine configuration as one self-describing envelope that
-// Restore rebuilds without a caller-supplied restorer.
-func (s *Sharded) SnapshotShards() ([][]byte, error) { return s.e.SnapshotShards() }
-
-// RestoreSharded rebuilds a Sharded histogram from per-shard blobs
-// produced by SnapshotShards. restore is the family's blob restorer,
-// adapted to return a Histogram. The shard count is len(blobs);
-// WithShards options are ignored, the other options apply as in
-// NewSharded.
-//
-// Deprecated: snapshot with (*Sharded).Snapshot and rebuild with
-// Restore; the envelope carries the family and the engine
-// configuration, so no restorer argument is needed.
-func RestoreSharded(blobs [][]byte, restore func([]byte) (Histogram, error), opts ...ShardOption) (*Sharded, error) {
-	if restore == nil {
-		return nil, errors.New("dynahist: nil restore function")
-	}
-	var cfg shard.Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	members := make([]shard.Member, len(blobs))
-	var memberKind Kind
-	for i, blob := range blobs {
-		h, err := restore(blob)
-		if err != nil {
-			return nil, err
-		}
-		if h == nil {
-			return nil, errors.New("dynahist: restore returned nil histogram")
-		}
-		if i == 0 {
-			memberKind = KindOf(h)
-		}
-		members[i] = memberAdapter{h: h}
-	}
-	e, err := shard.NewFromMembers(cfg, members)
-	if err != nil {
-		return nil, err
-	}
-	return &Sharded{e: e, memberKind: memberKind}, nil
 }

@@ -10,35 +10,15 @@ import (
 	"dynahist/internal/static"
 )
 
-// StaticKind names a static histogram construction.
-type StaticKind int
-
-const (
-	// EquiWidth partitions the value range into equal-width buckets.
-	EquiWidth StaticKind = iota
-	// EquiDepth partitions the values into equal-count buckets.
-	EquiDepth
-	// Compressed gives heavy values singleton buckets and splits the
-	// rest equi-depth (the SC histogram).
-	Compressed
-	// VOptimal minimises within-bucket frequency variance by exact
-	// dynamic programming (the SVO histogram).
-	VOptimal
-	// SADO minimises within-bucket absolute deviation by exact dynamic
-	// programming — the static histogram the paper introduces.
-	SADO
-	// SSBM is Successive Similar Bucket Merge (paper §5): near-SVO
-	// quality at a fraction of the construction cost.
-	SSBM
-)
-
-var staticKinds = map[StaticKind]static.Kind{
-	EquiWidth:  static.KindEquiWidth,
-	EquiDepth:  static.KindEquiDepth,
-	Compressed: static.KindCompressed,
-	VOptimal:   static.KindVOptimal,
-	SADO:       static.KindSADO,
-	SSBM:       static.KindSSBM,
+// staticKinds maps every static-construction Kind onto the
+// internal/static algorithm that builds it.
+var staticKinds = map[Kind]static.Kind{
+	KindEquiWidth:  static.KindEquiWidth,
+	KindEquiDepth:  static.KindEquiDepth,
+	KindCompressed: static.KindCompressed,
+	KindVOptimal:   static.KindVOptimal,
+	KindSADO:       static.KindSADO,
+	KindSSBM:       static.KindSSBM,
 }
 
 // Static is an immutable-borders histogram produced by one of the
@@ -53,42 +33,6 @@ type Static struct {
 	// rv is the cached read view; nil after any write. All reads go
 	// through it, so repeated statistics pay the pin once.
 	rv *View
-}
-
-// BuildStatic constructs a static histogram of the given kind over the
-// complete data set with at most n buckets. Values must be
-// non-negative integers (the paper's workloads are integer-valued;
-// real-valued data should be quantised first).
-//
-// Deprecated: use New with the matching static Kind, e.g.
-// New(KindSADO, WithValues(values), WithBuckets(n)).
-func BuildStatic(kind StaticKind, values []int, n int) (*Static, error) {
-	tr, err := trackerOf(values)
-	if err != nil {
-		return nil, err
-	}
-	ik, ok := staticKinds[kind]
-	if !ok {
-		return nil, fmt.Errorf("dynahist: unknown static kind %d", int(kind))
-	}
-	h, err := static.Build(ik, tr, n)
-	if err != nil {
-		return nil, err
-	}
-	return &Static{inner: h, kind: kindOfStatic[kind]}, nil
-}
-
-// BuildStaticMemory is BuildStatic with a byte budget instead of a
-// bucket count.
-//
-// Deprecated: use New with the matching static Kind, e.g.
-// New(KindSADO, WithValues(values), WithMemory(memBytes)).
-func BuildStaticMemory(kind StaticKind, values []int, memBytes int) (*Static, error) {
-	n, err := histogram.BucketsForMemory(memBytes, 1)
-	if err != nil {
-		return nil, err
-	}
-	return BuildStatic(kind, values, n)
 }
 
 // NewStaticFromBuckets wraps an explicit bucket list (for example one

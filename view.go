@@ -82,8 +82,8 @@ func (v *View) EstimateRange(lo, hi float64) float64 { return v.v.EstimateRange(
 type Estimator interface {
 	Histogram
 	// View pins the current state as an immutable snapshot. On Sharded
-	// it returns the merged-union build error directly (no MergeErr
-	// side channel); for the other kinds it only fails when the bucket
+	// it returns the merged-union build error directly; for the other
+	// kinds it only fails when the bucket
 	// state is structurally invalid, which package-built histograms
 	// never are.
 	View() (*View, error)
