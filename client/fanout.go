@@ -177,6 +177,14 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 				sr.Err = fmt.Errorf("restoring envelope: %w", err)
 				return
 			}
+			// Pin the merged view here, so the sites' shards merge in
+			// parallel and Superpose below reuses each cached view.
+			if e, ok := h.(dynahist.Estimator); ok {
+				if _, err := e.View(); err != nil {
+					sr.Err = fmt.Errorf("merging envelope: %w", err)
+					return
+				}
+			}
 			sr.Site, sr.Watermark, sr.Total = env.Site, env.Watermark, siteTotal(h)
 			hists[i] = h
 		}()
