@@ -9,10 +9,10 @@ import (
 	"dynahist/internal/wire"
 )
 
-// TestDecodeEntryRejectsOldVersions checks that only v5 decodes: the
-// layouts of earlier releases are rejected with ErrCatalog, so startup
-// skips such files like any corrupt one.
-func TestDecodeEntryRejectsOldVersions(t *testing.T) {
+// TestCatalogOldVersionsRejected checks that only v5 decodes: the
+// v2-v4 layouts of earlier releases are rejected with ErrCatalog, so
+// startup skips such files like any corrupt one.
+func TestCatalogOldVersionsRejected(t *testing.T) {
 	reg := NewRegistry()
 	if _, err := reg.Create(wire.CreateRequest{Name: "old", Family: FamilyDADO, MemBytes: 1024, Shards: 1}); err != nil {
 		t.Fatal(err)
@@ -36,8 +36,21 @@ func TestDecodeEntryRejectsOldVersions(t *testing.T) {
 	v3 := append(append([]byte(nil), v4[:cut+8]...), v4[cut+16:]...)
 	v2 := append(append([]byte(nil), v4[:cut]...), v4[cut+16:]...)
 
-	// v1 predates the envelope: a family code, name and config, then one
-	// raw "DYNS" core blob per shard.
+	for version, data := range map[uint16][]byte{2: v2, 3: v3, 4: v4} {
+		binary.LittleEndian.PutUint16(data[4:], version)
+		if _, err := DecodeEntry(data); !errors.Is(err, ErrCatalog) {
+			t.Errorf("DecodeEntry(v%d) = %v, want ErrCatalog", version, err)
+		}
+	}
+	if _, err := DecodeEntry(v5); err != nil {
+		t.Fatalf("DecodeEntry(v5): %v", err)
+	}
+}
+
+// TestDecodeEntryRejectsV1 checks that a v1 catalog file, which
+// predates the envelope, is rejected with ErrCatalog: a family code,
+// name and config, then one raw "DYNS" core blob per shard.
+func TestDecodeEntryRejectsV1(t *testing.T) {
 	raw, err := core.NewDADOMemory(1024)
 	if err != nil {
 		t.Fatal(err)
@@ -60,13 +73,7 @@ func TestDecodeEntryRejectsOldVersions(t *testing.T) {
 	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(blob)))
 	v1 = append(v1, blob...)
 
-	for version, data := range map[uint16][]byte{1: v1, 2: v2, 3: v3, 4: v4} {
-		binary.LittleEndian.PutUint16(data[4:], version)
-		if _, err := DecodeEntry(data); !errors.Is(err, ErrCatalog) {
-			t.Errorf("DecodeEntry(v%d) = %v, want ErrCatalog", version, err)
-		}
-	}
-	if _, err := DecodeEntry(v5); err != nil {
-		t.Fatalf("DecodeEntry(v5): %v", err)
+	if _, err := DecodeEntry(v1); !errors.Is(err, ErrCatalog) {
+		t.Fatalf("DecodeEntry(v1) = %v, want ErrCatalog", err)
 	}
 }
