@@ -6,11 +6,12 @@
 package union
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dynahist/internal/histogram"
 )
@@ -25,59 +26,131 @@ var ErrNoMembers = errors.New("union: no member histograms")
 // union histogram's CDF is the (weighted) sum of the member CDFs.
 // Intervals where every member estimates zero mass are dropped,
 // preserving empty gaps.
+//
+// The borders are swept once, left to right, with one massCursor per
+// member, so the cost is linear in the number of borders times the
+// number of members; every interval count is bit-identical to
+// evaluating histogram.MassBelow at both of its ends.
 func Superpose(members ...[]histogram.Bucket) ([]histogram.Bucket, error) {
 	if len(members) == 0 {
 		return nil, ErrNoMembers
 	}
-	// primary marks borders that are actual bucket edges (Left/Right) as
-	// opposed to recomputed sub-bucket borders: when near-equal borders
-	// are deduplicated below, a primary border wins, so member bucket
-	// edges survive the union bit-exactly.
-	borderSet := map[float64]struct{}{}
-	primary := map[float64]bool{}
 	for _, m := range members {
 		if err := histogram.Validate(m); err != nil {
 			return nil, fmt.Errorf("union: invalid member: %w", err)
 		}
-		for i := range m {
-			borderSet[m[i].Left] = struct{}{}
-			borderSet[m[i].Right] = struct{}{}
-			primary[m[i].Left] = true
-			primary[m[i].Right] = true
-			// Sub-bucket borders carry information too; keep them so the
-			// superposition stays lossless for DVO/DADO members.
-			k := len(m[i].Subs)
-			for j := 1; j < k; j++ {
-				borderSet[m[i].Left+m[i].Width()*float64(j)/float64(k)] = struct{}{}
-			}
-		}
 	}
-	borders := make([]float64, 0, len(borderSet))
-	for b := range borderSet {
-		borders = append(borders, b)
-	}
-	sort.Float64s(borders)
-	borders = dedupeBorders(borders, primary)
+	borders := dedupeBorders(collectBorders(members))
 	if len(borders) < 2 {
 		return nil, errors.New("union: members have no extent")
 	}
 
-	var out []histogram.Bucket
+	cursors := make([]massCursor, len(members))
+	below := make([]float64, len(members)) // each member's mass below lo
+	for m := range members {
+		cursors[m].buckets = members[m]
+		below[m] = cursors[m].below(borders[0])
+	}
+	out := make([]histogram.Bucket, 0, len(borders)-1)
+	slab := make([]float64, len(borders)-1) // one counter per output bucket
 	for i := 0; i+1 < len(borders); i++ {
 		lo, hi := borders[i], borders[i+1]
 		mass := 0.0
-		for _, m := range members {
-			mass += histogram.MassBelow(m, hi) - histogram.MassBelow(m, lo)
+		for m := range cursors {
+			h := cursors[m].below(hi)
+			mass += h - below[m]
+			below[m] = h
 		}
 		if mass <= 0 {
 			continue
 		}
-		out = append(out, histogram.Bucket{Left: lo, Right: hi, Subs: []float64{mass}})
+		n := len(out)
+		slab[n] = mass
+		out = append(out, histogram.Bucket{Left: lo, Right: hi, Subs: slab[n : n+1 : n+1]})
 	}
 	if len(out) == 0 {
 		return nil, errors.New("union: members are all empty")
 	}
 	return out, nil
+}
+
+// massCursor answers histogram.MassBelow(buckets, x) for a
+// non-decreasing sequence of x in amortised constant time. The buckets
+// wholly below x form a prefix that only grows, so their counts are
+// summed once, left to right, into done; each call then repeats the
+// linear scan's remaining steps from the first bucket not yet passed.
+// Because the additions happen in the scan's own order, every result
+// is bit-identical to the scan from bucket 0.
+type massCursor struct {
+	buckets []histogram.Bucket
+	next    int     // first bucket not folded into done
+	done    float64 // Σ Count() of buckets[:next], summed in order
+}
+
+func (c *massCursor) below(x float64) float64 {
+	bs := c.buckets
+	for c.next < len(bs) && bs[c.next].Right <= x {
+		c.done += bs[c.next].Count()
+		c.next++
+	}
+	mass := c.done
+	for i := c.next; i < len(bs); i++ {
+		if bs[i].Right <= x {
+			mass += bs[i].Count()
+			continue
+		}
+		if bs[i].Left >= x {
+			break
+		}
+		mass += bs[i].MassBelow(x)
+	}
+	return mass
+}
+
+// border is one candidate border of the union. primary marks an actual
+// bucket edge (Left/Right) as opposed to a recomputed sub-bucket
+// border: when near-equal borders are deduplicated, a primary border
+// wins, so member bucket edges survive the union bit-exactly.
+type border struct {
+	v       float64
+	primary bool
+}
+
+// collectBorders returns every member's bucket edges and sub-bucket
+// borders, sorted, with exact duplicates collapsed into one border
+// that is primary if any copy is. Sub-bucket borders carry information
+// too; keeping them keeps the superposition lossless for DVO/DADO
+// members. The stable sort keeps the emission order within a run of
+// equal values, and the run takes its last copy's bits — which only
+// matters for ±0, and makes the union's choice between them the same
+// as a set that each later copy overwrites.
+func collectBorders(members [][]histogram.Bucket) []border {
+	n := 0
+	for _, m := range members {
+		for i := range m {
+			n += len(m[i].Subs) + 1
+		}
+	}
+	bs := make([]border, 0, n)
+	for _, m := range members {
+		for i := range m {
+			bs = append(bs, border{m[i].Left, true}, border{m[i].Right, true})
+			k := len(m[i].Subs)
+			for j := 1; j < k; j++ {
+				bs = append(bs, border{m[i].Left + m[i].Width()*float64(j)/float64(k), false})
+			}
+		}
+	}
+	slices.SortStableFunc(bs, func(a, b border) int { return cmp.Compare(a.v, b.v) })
+	out := bs[:0]
+	for _, b := range bs {
+		if last := len(out) - 1; last >= 0 && out[last].v == b.v {
+			out[last] = border{b.v, out[last].primary || b.primary}
+			continue
+		}
+		out = append(out, b)
+	}
+	return out
 }
 
 // borderEps is the relative tolerance under which two borders are the
@@ -89,23 +162,24 @@ func Superpose(members ...[]histogram.Bucket) ([]histogram.Bucket, error) {
 // below any genuine sub-bucket width (≥ 1/k of a real bucket).
 const borderEps = 1e-12
 
-// dedupeBorders coalesces runs of near-equal sorted borders into one
-// representative each, preferring a primary (actual bucket edge) value
-// over a recomputed sub-border. Runs are anchored at their first
-// element: b joins the run of anchor a when b−a ≤ borderEps·scale(a,b).
-func dedupeBorders(borders []float64, primary map[float64]bool) []float64 {
-	out := borders[:0]
+// dedupeBorders coalesces runs of near-equal sorted, distinct borders
+// into one representative each, preferring a primary (actual bucket
+// edge) value over a recomputed sub-border. Runs are anchored at their
+// first element: b joins the run of anchor a when
+// b−a ≤ borderEps·scale(a,b).
+func dedupeBorders(borders []border) []float64 {
+	out := make([]float64, 0, len(borders))
 	for i := 0; i < len(borders); {
-		anchor := borders[i]
-		rep, haveRep := anchor, primary[anchor]
+		anchor := borders[i].v
+		rep, haveRep := anchor, borders[i].primary
 		j := i + 1
 		for j < len(borders) {
-			b := borders[j]
+			b := borders[j].v
 			scale := math.Max(math.Abs(anchor), math.Abs(b))
 			if b-anchor > borderEps*scale {
 				break
 			}
-			if !haveRep && primary[b] {
+			if !haveRep && borders[j].primary {
 				rep, haveRep = b, true
 			}
 			j++

@@ -367,7 +367,7 @@ func TestSuperposeDedupesULPBorders(t *testing.T) {
 func TestDedupeBordersPrefersPrimary(t *testing.T) {
 	a := 1000.0
 	b := math.Nextafter(a, 2000)
-	got := dedupeBorders([]float64{0, a, b, 2000}, map[float64]bool{0: true, b: true, 2000: true})
+	got := dedupeBorders([]border{{0, true}, {a, false}, {b, true}, {2000, true}})
 	want := []float64{0, b, 2000}
 	if len(got) != len(want) {
 		t.Fatalf("dedupeBorders = %v, want %v", got, want)
@@ -378,8 +378,8 @@ func TestDedupeBordersPrefersPrimary(t *testing.T) {
 		}
 	}
 	// Distinct borders far apart are untouched.
-	keep := []float64{0, 0.5, 1}
-	if got := dedupeBorders(keep, nil); len(got) != 3 {
+	keep := []border{{0, false}, {0.5, false}, {1, false}}
+	if got := dedupeBorders(keep); len(got) != 3 {
 		t.Fatalf("dedupeBorders merged genuinely distinct borders: %v", got)
 	}
 }
