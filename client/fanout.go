@@ -185,7 +185,7 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 					return
 				}
 			}
-			sr.Site, sr.Watermark, sr.Total = env.Site, env.Watermark, siteTotal(h)
+			sr.Site, sr.Watermark, sr.Total = env.Site, env.Watermark, h.Total()
 			hists[i] = h
 		}()
 	}
@@ -249,21 +249,6 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 		}
 	}
 	return g, nil
-}
-
-// siteTotal is a restored site's exact point count: the sum of its
-// shards' own counts. The merged view's Total is a float sum over
-// superposed, fractionally split buckets and drifts by ulps.
-func siteTotal(h dynahist.Histogram) float64 {
-	s, ok := h.(*dynahist.Sharded)
-	if !ok {
-		return h.Total()
-	}
-	total := 0.0
-	for _, t := range s.ShardTotals() {
-		total += t
-	}
-	return total
 }
 
 func toDynaRanges(rs []Range) []dynahist.Range {

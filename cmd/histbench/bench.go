@@ -3,7 +3,7 @@ package main
 // The -json / -compare modes: a fixed micro-benchmark smoke suite over
 // the ingest and serving spines, emitted as machine-readable JSON so CI
 // can record one point per PR of the performance trajectory and diff a
-// fresh run against the committed baseline (BENCH_PR10.json at the
+// fresh run against the committed baseline (BENCH_PR19.json at the
 // repo root).
 
 import (
@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"dynahist"
+	"dynahist/internal/distgen"
 	"dynahist/internal/server"
 	"dynahist/internal/wal"
 	"dynahist/internal/wire"
@@ -57,6 +58,8 @@ var benchSuite = []struct {
 	{"wal_append_256", benchWALAppend},
 	{"cached_query_hit", benchCachedQueryHit},
 	{"metrics_scrape", benchMetricsScrape},
+	{"sharded_total_after_write", benchShardedAfterWrite(false)},
+	{"sharded_view_after_write", benchShardedAfterWrite(true)},
 }
 
 func benchDADOInsertBatch(b *testing.B) {
@@ -132,6 +135,45 @@ func benchShardedInsertBatch(b *testing.B) {
 		}
 		if err := h.InsertBatch(batch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchShardedAfterWrite measures a 256-value InsertBatch followed by
+// one read — Total, or View when view is set — on a 4-shard DADO (1 KB
+// per shard) preloaded with the paper's reference data. The pair of
+// series prices the §8 merge: a Total is an exact shard sum, while a
+// View after a write must superpose every shard's buckets again.
+func benchShardedAfterWrite(view bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		ints, err := distgen.Generate(distgen.Reference(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		vs := make([]float64, len(ints))
+		for i, v := range distgen.Shuffled(ints, 1) {
+			vs[i] = float64(v)
+		}
+		h, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
+			return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
+		}, dynahist.WithShards(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := h.InsertBatch(vs); err != nil {
+			b.Fatal(err)
+		}
+		const batch = 256
+		b.ReportAllocs()
+		for off := 0; b.Loop(); off = (off + batch) % (len(vs) - batch) {
+			if err := h.InsertBatch(vs[off : off+batch]); err != nil {
+				b.Fatal(err)
+			}
+			if !view {
+				h.Total()
+			} else if _, err := h.View(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

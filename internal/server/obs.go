@@ -60,8 +60,10 @@ type serverMetrics struct {
 	feedbackApplied *obs.Counter
 	feedbackClamped *obs.Counter
 
-	// Ingest batch-size distribution (server.go handleUpdate).
-	ingestBatch *obs.Tracker
+	// Ingest batch-size distribution (server.go handleUpdate) and the
+	// batches refused because the digest queue stayed full (wal.go).
+	ingestBatch    *obs.Tracker
+	ingestRejected *obs.Counter
 
 	// Per-endpoint HTTP metrics, keyed by the short route name the
 	// instrument middleware mounts under.
@@ -92,7 +94,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		feedbackApplied: r.Counter("dynahist_feedback_applied_total", "Feedback records journaled by the self-tuning loop."),
 		feedbackClamped: r.Counter("dynahist_feedback_clamped_total", "Feedback records whose bounded adjustment left a residual above 1% of the observed count."),
 
-		ingestBatch: r.Tracker("dynahist_ingest_batch_values", "Values per ingest batch."),
+		ingestBatch:    r.Tracker("dynahist_ingest_batch_values", "Values per ingest batch."),
+		ingestRejected: r.Counter("dynahist_ingest_rejected_total", "Ingest batches answered 503 because the digest queue stayed full for the whole bounded wait."),
 
 		endpoints: make(map[string]*endpointMetrics),
 	}
@@ -102,6 +105,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("dynahist_uptime_seconds", "Seconds since the server was built.", func() float64 {
 		return time.Since(m.start).Seconds()
 	})
+	r.CounterFunc("dynahist_shard_merges_total", "Merged views built from shard bucket lists: one per distribution read that follows a write. Point counts never merge.", s.reg.Merges)
 	r.GaugeFunc("dynahist_query_cache_hit_ratio", "Cache hits over cache lookups; 0 before any lookup.", func() float64 {
 		return m.cacheHitRatio()
 	})

@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -182,5 +184,63 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if ws.DigestLag != ws.LagRecords {
 		t.Fatalf("wal status DigestLag = %d, LagRecords = %d, want equal", ws.DigestLag, ws.LagRecords)
+	}
+}
+
+// scrapeCounter reads one unlabelled counter off GET /metrics.
+func scrapeCounter(t *testing.T, s *Server, name string) uint64 {
+	t.Helper()
+	rec := postJSON(t, s, "GET", "/metrics", "")
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s sample %q: %v", name, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("exposition has no %s sample:\n%s", name, rec.Body)
+	return 0
+}
+
+// TestShardMergesCounter checks dynahist_shard_merges_total: ingest
+// acks, digestion, info, list and the envelope build no merged view,
+// and one query after a write builds exactly one.
+func TestShardMergesCounter(t *testing.T) {
+	s, err := New(Config{
+		Logger:  log.New(io.Discard, "", 0),
+		Metrics: true,
+		WAL:     wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rec := postJSON(t, s, "POST", "/v1/h", `{"name":"h","family":"dado","mem_bytes":1024,"shards":4}`); rec.Code != 201 {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	const merges = "dynahist_shard_merges_total"
+	before := scrapeCounter(t, s, merges)
+	for i := range 16 {
+		body := fmt.Sprintf(`{"values":[%d,%d,%d,%d]}`, i, 2*i, 3*i, 4*i)
+		if rec := postJSON(t, s, "POST", "/v1/h/h/insert", body); rec.Code != 200 {
+			t.Fatalf("insert %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	waitDigested(t, s)
+	for _, path := range []string{"/v1/h/h", "/v1/h", "/v1/h/h/envelope"} {
+		if rec := postJSON(t, s, "GET", path, ""); rec.Code != 200 {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	if got := scrapeCounter(t, s, merges); got != before {
+		t.Fatalf("%s moved %d → %d under ingest with no distribution reads", merges, before, got)
+	}
+	if rec := postJSON(t, s, "POST", "/v1/h/h/query", `{"quantiles":[0.5],"cdf":[10]}`); rec.Code != 200 {
+		t.Fatalf("query: %d %s", rec.Code, rec.Body)
+	}
+	if got := scrapeCounter(t, s, merges); got != before+1 {
+		t.Fatalf("%s after one query = %d, want %d", merges, got, before+1)
 	}
 }

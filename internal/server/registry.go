@@ -149,6 +149,9 @@ func (e *entry) info() wire.Info {
 type Registry struct {
 	mu sync.RWMutex
 	m  map[string]*entry
+	// retiredMerges holds the merge counts of entries deleted or
+	// replaced, so Merges stays monotone as entries come and go.
+	retiredMerges uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -243,10 +246,10 @@ func (r *Registry) attach(e *entry) error {
 func (r *Registry) replace(e *entry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.m[e.name]; !ok {
-		if err := r.checkCollision(e.name); err != nil {
-			return err
-		}
+	if cur, ok := r.m[e.name]; ok {
+		r.retiredMerges += cur.h.Merges()
+	} else if err := r.checkCollision(e.name); err != nil {
+		return err
 	}
 	r.m[e.name] = e
 	return nil
@@ -293,11 +296,25 @@ func (r *Registry) Histogram(name string) (*dynahist.Sharded, error) {
 func (r *Registry) Delete(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.m[name]; !ok {
+	e, ok := r.m[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
+	r.retiredMerges += e.h.Merges()
 	delete(r.m, name)
 	return nil
+}
+
+// Merges returns how many merged views the registry's histograms have
+// built, counting histograms since deleted or replaced.
+func (r *Registry) Merges() uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := r.retiredMerges
+	for _, e := range r.m {
+		n += e.h.Merges()
+	}
+	return n
 }
 
 // Has reports whether name is registered.

@@ -92,6 +92,10 @@ type Server struct {
 	wal        *wal.Log
 	digestCh   chan wal.Record
 	digestDone chan struct{}
+	// digestSlots is a counting semaphore over digestCh's capacity:
+	// ingest takes a token before its WAL append, the digester returns
+	// one per record it dequeues.
+	digestSlots chan struct{}
 	// digestMu is held by the digester across each record fold and by
 	// CheckpointNow while it snapshots, so a checkpoint can never
 	// observe a half-applied record or misstate the WAL position its
@@ -629,6 +633,12 @@ func (s *Server) handleUpdate(op updateOp) http.HandlerFunc {
 				}
 			}
 			lsn, err := s.appendAndEnqueue(walOp, r.PathValue("name"), batch)
+			if errors.Is(err, errDigestFull) {
+				s.metrics.ingestRejected.Inc()
+				w.Header().Set("Retry-After", strconv.Itoa(int(digestWait/time.Second)))
+				writeErr(w, http.StatusServiceUnavailable, "%v", err)
+				return
+			}
 			if err != nil {
 				writeErr(w, http.StatusServiceUnavailable, "durable append: %v", err)
 				return

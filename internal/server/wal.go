@@ -15,14 +15,26 @@ import (
 	"errors"
 	"net/http"
 	"os"
+	"time"
 
 	"dynahist/internal/wal"
 	"dynahist/internal/wire"
 )
 
-// digestChanCap bounds the append-to-digest queue; a full queue
-// back-pressures ingest acks rather than growing without bound.
-const digestChanCap = 4096
+// digestChanCap bounds the append-to-digest queue. Ingest reserves a
+// slot before it appends, so a full queue back-pressures acks rather
+// than growing without bound. A variable only so tests can shrink it.
+var digestChanCap = 4096
+
+// digestWait bounds how long an ingest request waits for a digest
+// queue slot. A queue that stays full this long means the digester has
+// fallen far behind, and the server sheds the batch with a 503 rather
+// than holding the connection open without limit.
+const digestWait = time.Second
+
+// errDigestFull refuses a batch that found no digest queue slot within
+// digestWait. The batch was not logged.
+var errDigestFull = errors.New("server: ingest overloaded: digest queue full")
 
 // startWAL opens the log, replays the undigested tail into the
 // freshly restored registry, and starts the digester. Called from New
@@ -62,6 +74,7 @@ func (s *Server) startWAL() error {
 			stats.Records, from, stats.CorruptSegments)
 	}
 	s.digestCh = make(chan wal.Record, digestChanCap)
+	s.digestSlots = make(chan struct{}, digestChanCap)
 	s.digestDone = make(chan struct{})
 	go s.digestLoop()
 	return nil
@@ -75,6 +88,7 @@ func (s *Server) startWAL() error {
 func (s *Server) digestLoop() {
 	defer close(s.digestDone)
 	for rec := range s.digestCh {
+		<-s.digestSlots
 		s.digestMu.Lock()
 		e := s.applyRecord(rec)
 		s.wal.MarkDigested(rec.LSN)
@@ -164,23 +178,51 @@ func (s *Server) applyRecord(rec wal.Record) *entry {
 // appendAndEnqueue logs one mutating operation and hands it to the
 // digester. It returns the acked LSN. The returned error is nil
 // exactly when the record is durable per the sync policy — the
-// handler's signal that it may acknowledge.
+// handler's signal that it may acknowledge. A digest queue slot is
+// reserved before the append, so a batch refused with errDigestFull
+// is never logged and the WAL cannot run ahead of what memory will
+// fold in.
 func (s *Server) appendAndEnqueue(op byte, name string, body []byte) (uint64, error) {
+	if !s.reserveDigestSlot() {
+		return 0, errDigestFull
+	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
 	if s.walStopped {
+		<-s.digestSlots
 		return 0, errors.New("server: shutting down")
 	}
 	lsn, err := s.wal.Append(op, name, body)
 	if err != nil {
+		<-s.digestSlots
 		return 0, err
 	}
 	// The digester owns its copy: body aliases pooled request scratch
 	// that is recycled the moment the handler returns.
 	owned := make([]byte, len(body))
 	copy(owned, body)
+	// Never blocks: the reserved slot is this record's place in the
+	// queue, and the digester frees one slot per record it takes.
 	s.digestCh <- wal.Record{LSN: lsn, Op: op, Name: name, Payload: owned}
 	return lsn, nil
+}
+
+// reserveDigestSlot takes one digest queue slot, waiting at most
+// digestWait for the digester to free one.
+func (s *Server) reserveDigestSlot() bool {
+	select {
+	case s.digestSlots <- struct{}{}:
+		return true
+	default:
+	}
+	t := time.NewTimer(digestWait)
+	defer t.Stop()
+	select {
+	case s.digestSlots <- struct{}{}:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // appendControl logs a create/drop record (already applied to the

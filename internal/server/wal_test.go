@@ -6,12 +6,15 @@ package server
 // tails, and injected disk faults on the live ingest path.
 
 import (
+	"bytes"
 	"encoding/json"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -370,5 +373,126 @@ func TestWALIngestFaults(t *testing.T) {
 	st := getWALStatus(t, ts.URL)
 	if st.AppendedLSN != 3 {
 		t.Fatalf("AppendedLSN = %d, want 3 (failed appends must not count)", st.AppendedLSN)
+	}
+}
+
+// shardSum is the exact point count of the named histogram: the sum of
+// its shards' own totals, in shard order.
+func shardSum(t *testing.T, s *Server, name string) float64 {
+	t.Helper()
+	h, err := s.Registry().Histogram(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for _, st := range h.ShardTotals() {
+		total += st
+	}
+	return total
+}
+
+// TestWALAckTotalIsShardSum pins the counts a WAL server reports
+// without building a merged view: an ack's Total and the envelope's
+// total header both equal the sum of the shards' own totals.
+func TestWALAckTotalIsShardSum(t *testing.T) {
+	s, ts := newTestServer(t, Config{SiteID: "s1", WAL: wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone}})
+	mustCreate(t, ts.URL, "lat", FamilyDADO, 1024, 4)
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]float64, 256)
+	for range 8 {
+		for i := range batch {
+			batch[i] = rng.Float64() * 5000
+		}
+		mustInsertBinary(t, ts.URL, "lat", batch)
+	}
+	waitDigested(t, s)
+
+	// Freeze the digester so the next ack reports exactly the digested
+	// state; the ack must not wait on the fold.
+	s.digestMu.Lock()
+	ack := mustInsertBinary(t, ts.URL, "lat", batch)
+	want := shardSum(t, s, "lat")
+	s.digestMu.Unlock()
+	if want != 8*256 || ack.Total != want {
+		t.Fatalf("ack Total = %v, shard sum = %v, want both %d", ack.Total, want, 8*256)
+	}
+
+	waitDigested(t, s)
+	resp, err := http.Get(ts.URL + "/v1/h/lat/envelope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	got, err := strconv.ParseFloat(resp.Header.Get(wire.HeaderTotal), 64)
+	if err != nil {
+		t.Fatalf("%s = %q: %v", wire.HeaderTotal, resp.Header.Get(wire.HeaderTotal), err)
+	}
+	if want := shardSum(t, s, "lat"); want != 9*256 || got != want {
+		t.Fatalf("envelope %s = %v, shard sum = %v, want both %d", wire.HeaderTotal, got, want, 9*256)
+	}
+}
+
+// TestIngestOverloadRejected stalls the digester and fills the digest
+// queue: the next batch waits digestWait, is refused with 503 and
+// Retry-After, is counted, and is not logged; once the digester runs
+// again every acked batch folds in and ingest resumes.
+func TestIngestOverloadRejected(t *testing.T) {
+	defer func(n int) { digestChanCap = n }(digestChanCap)
+	digestChanCap = 2
+	s, ts := newTestServer(t, Config{WAL: wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone}})
+	mustCreate(t, ts.URL, "lat", FamilyDADO, 1024, 2)
+
+	s.digestMu.Lock()
+	stalled := true
+	defer func() {
+		if stalled {
+			s.digestMu.Unlock()
+		}
+	}()
+	// The digester takes the first batch off the queue and blocks on
+	// digestMu with it; the next two fill the queue's two slots.
+	for range 3 {
+		mustInsertBinary(t, ts.URL, "lat", seqValues(10))
+	}
+	body, err := wire.EncodeBatch(seqValues(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/v1/h/lat/insert", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", wire.BatchContentType)
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("insert into a full queue: status %d, Retry-After %q; want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if waited := time.Since(start); waited < digestWait {
+		t.Fatalf("refused after %v, want the bounded wait of %v", waited, digestWait)
+	}
+	if got := s.metrics.ingestRejected.Value(); got != 1 {
+		t.Fatalf("ingest rejections = %d, want 1", got)
+	}
+	// The create and the three acked batches; the refused one is not logged.
+	if got := s.wal.LastLSN(); got != 4 {
+		t.Fatalf("appended LSN = %d, want 4", got)
+	}
+
+	s.digestMu.Unlock()
+	stalled = false
+	waitDigested(t, s)
+	if got := getTotal(t, ts.URL, "lat"); got != 30 {
+		t.Fatalf("total after the stall = %v, want the 30 acked values", got)
+	}
+	mustInsertBinary(t, ts.URL, "lat", seqValues(10))
+	waitDigested(t, s)
+	if got := getTotal(t, ts.URL, "lat"); got != 40 {
+		t.Fatalf("total after recovery = %v, want 40", got)
 	}
 }

@@ -9,12 +9,13 @@
 // Writes stripe across the shards (by value hash or round-robin) and
 // contend only on the chosen shard's lock, so P writer goroutines
 // scale to P-way parallelism instead of serialising on a single
-// mutex. Reads superpose the per-shard bucket lists with
-// union.Superpose into a merged view that is cached under an epoch
-// counter: every write bumps the epoch, and a read only pays the
-// merge cost when the cached view's epoch is stale. A read-heavy
-// phase therefore costs one merge, then runs lock-free off the
-// cached snapshot.
+// mutex. The point count is the exact sum of the shards' own counts
+// and never merges. Distribution reads superpose the per-shard bucket
+// lists with union.Superpose into a merged view that is cached under
+// an epoch counter: every write bumps the epoch, and a read only pays
+// the merge cost when the cached view's epoch is stale. A read-heavy
+// phase therefore costs one merge, then runs lock-free off the cached
+// snapshot.
 package shard
 
 import (
@@ -100,8 +101,8 @@ type snapshot struct {
 }
 
 // Engine stripes writes across per-shard member histograms and serves
-// reads from an epoch-cached union of their bucket lists. It is safe
-// for concurrent use by any number of goroutines.
+// distribution reads from an epoch-cached union of their bucket lists.
+// It is safe for concurrent use by any number of goroutines.
 type Engine struct {
 	cells  []cell
 	policy Policy
@@ -112,6 +113,7 @@ type Engine struct {
 
 	snapMu sync.Mutex // serialises snapshot rebuilds
 	snap   atomic.Pointer[snapshot]
+	merges atomic.Uint64 // successful snapshot rebuilds
 
 	// scratch recycles the per-shard value groups of the batch paths,
 	// so steady-state batch ingest routes without allocating: the
@@ -400,6 +402,7 @@ func (e *Engine) view() (*snapshot, error) {
 	}
 	s := &snapshot{epoch: cur, view: v}
 	e.snap.Store(s)
+	e.merges.Add(1)
 	return s, nil
 }
 
@@ -423,8 +426,26 @@ func (e *Engine) read() *histogram.View {
 	return s.view
 }
 
-// Total returns the point count of the merged view.
-func (e *Engine) Total() float64 { return e.read().Total() }
+// Total returns the exact point count: the sum of the shards' own
+// counts, each read under its shard's lock. It never touches the
+// merged view, so a count costs O(shards) however stale the cached
+// merge is. Under concurrent writes the per-shard counts need not
+// correspond to one global instant.
+func (e *Engine) Total() float64 {
+	total := 0.0
+	for i := range e.cells {
+		c := &e.cells[i]
+		c.mu.Lock()
+		total += c.m.Total()
+		c.mu.Unlock()
+	}
+	return total
+}
+
+// Merges returns how many times the merged view has been rebuilt
+// successfully — one per distribution read that found the cached
+// view stale.
+func (e *Engine) Merges() uint64 { return e.merges.Load() }
 
 // CDF returns the merged view's approximate fraction of mass ≤ x.
 func (e *Engine) CDF(x float64) float64 { return e.read().CDF(x) }

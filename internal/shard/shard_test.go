@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dynahist/internal/core"
@@ -266,12 +267,94 @@ func TestMergeFailureKeepsLastGoodView(t *testing.T) {
 	if err := e.Insert(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Total(); got != 1 {
-		t.Fatalf("Total after failed merge = %v, want last good 1", got)
+	// Total is the exact shard sum and never reads the merged view.
+	if got := e.Total(); got != 2 {
+		t.Fatalf("Total after failed merge = %v, want exact 2", got)
+	}
+	if got := e.CDF(10); got != 1 {
+		t.Fatalf("CDF(10) after failed merge = %v, want last good 1", got)
+	}
+	if got := e.EstimateRange(0, 10); got != 1 {
+		t.Fatalf("EstimateRange(0, 10) after failed merge = %v, want last good 1", got)
+	}
+	if bs := e.Buckets(); len(bs) != 1 || histogram.TotalCount(bs) != 1 {
+		t.Fatalf("Buckets after failed merge = %v, want the last good single bucket of count 1", bs)
 	}
 	// View surfaces the merge error directly.
 	if _, err := e.View(); err == nil {
 		t.Fatal("View after failed merge: want error")
+	}
+	if got := e.Merges(); got != 1 {
+		t.Fatalf("Merges = %d, want 1: a failed merge is not counted", got)
+	}
+}
+
+// countingMember is a DC member that counts its Buckets calls, the
+// only way the engine's merge reads a member.
+type countingMember struct {
+	Member
+	calls *atomic.Int64
+}
+
+func (m countingMember) Buckets() []histogram.Bucket {
+	m.calls.Add(1)
+	return m.Member.Buckets()
+}
+
+// TestTotalNeverMerges pins that the point count is the exact shard
+// sum: Total after writes reads no member's bucket list and builds no
+// merged view, while a distribution read after a write merges once.
+func TestTotalNeverMerges(t *testing.T) {
+	var calls atomic.Int64
+	e, err := New(Config{Shards: 4}, func() (Member, error) {
+		m, err := newMember()
+		return countingMember{Member: m, calls: &calls}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := make([]float64, 1000)
+	for i := range vs {
+		vs[i] = float64(i % 100)
+	}
+	for round := 1; round <= 3; round++ {
+		if err := e.InsertBatch(vs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Insert(7); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Delete(7); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.Total(), float64(round*len(vs)); got != want {
+			t.Fatalf("round %d: Total = %v, want %v", round, got, want)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("Total after writes made %d Buckets calls, want 0", n)
+	}
+	if n := e.Merges(); n != 0 {
+		t.Fatalf("Merges after writes and counts = %d, want 0", n)
+	}
+	v, err := e.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Total(); got != e.Total() {
+		t.Fatalf("merged view Total = %v, exact Total = %v", got, e.Total())
+	}
+	if n := e.Merges(); n != 1 {
+		t.Fatalf("Merges after one View = %d, want 1", n)
+	}
+	before := calls.Load()
+	_ = e.CDF(50)
+	_ = e.Total()
+	if n := calls.Load(); n != before {
+		t.Fatalf("cached reads made %d Buckets calls, want 0", n-before)
+	}
+	if n := e.Merges(); n != 1 {
+		t.Fatalf("Merges after cached reads = %d, want 1", n)
 	}
 }
 

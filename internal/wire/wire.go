@@ -154,8 +154,10 @@ type ValuesRequest struct {
 
 // UpdateResponse reports how many values an ingest call applied.
 type UpdateResponse struct {
-	Applied int     `json:"applied"`
-	Total   float64 `json:"total"`
+	Applied int `json:"applied"`
+	// Total is the histogram's exact point count at ack time: the sum
+	// of its shards' own counts, read without building the merged view.
+	Total float64 `json:"total"`
 	// LSN is the write-ahead-log sequence number the batch was logged
 	// under — present (non-zero) only when the server runs with durable
 	// ingest enabled. When set, Total may lag the batch: the ack means
@@ -298,7 +300,8 @@ const (
 	// time: a monotonic per-site counter (the WAL digested LSN on
 	// durable servers) saying how much ingest the blob already contains.
 	HeaderWatermark = "X-Dynahist-Watermark"
-	// HeaderTotal is the summarised point count at snapshot time.
+	// HeaderTotal is the exact point count at snapshot time: the sum of
+	// the shards' own counts, not a figure read off the merged view.
 	HeaderTotal = "X-Dynahist-Total"
 )
 

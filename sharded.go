@@ -52,12 +52,13 @@ func WithMergeBudget(n int) ShardOption {
 // with the shard count, where Concurrent serialises every operation
 // on one mutex.
 //
-// Reads (Total, CDF, EstimateRange, Buckets) are served from a cached
-// merged snapshot that writes invalidate via an epoch counter; a
-// read-heavy phase pays one merge and then runs lock-free. Use
-// Concurrent instead when single-writer simplicity matters more than
-// throughput, or when reads must reflect each write with zero merge
-// cost.
+// Total is the exact sum of the shards' own counts and never merges.
+// Distribution reads (CDF, EstimateRange, Buckets, Quantile, View)
+// are served from a cached merged snapshot that writes invalidate via
+// an epoch counter; a read-heavy phase pays one merge and then runs
+// lock-free. Use Concurrent instead when single-writer simplicity
+// matters more than throughput, or when distribution reads must
+// reflect each write with zero merge cost.
 type Sharded struct {
 	e *shard.Engine
 	// memberKind is the kind of the histograms the shards maintain
@@ -169,7 +170,8 @@ func (s *Sharded) View() (*View, error) {
 // answered from the merged view.
 func (s *Sharded) Quantile(q float64) (float64, error) { return quantileOf(s, q) }
 
-// Total returns the point count of the merged view.
+// Total returns the exact point count, the sum of the shards' own
+// counts. It never merges.
 func (s *Sharded) Total() float64 { return s.e.Total() }
 
 // CDF returns the merged view's approximate fraction of points ≤ x.
@@ -188,3 +190,7 @@ func (s *Sharded) NumShards() int { return s.e.NumShards() }
 // ShardTotals returns each shard's own point count — a balance
 // diagnostic for choosing between the striping policies.
 func (s *Sharded) ShardTotals() []float64 { return s.e.ShardTotals() }
+
+// Merges returns how many times the merged view has been rebuilt:
+// one per distribution read that found a write since the last merge.
+func (s *Sharded) Merges() uint64 { return s.e.Merges() }
