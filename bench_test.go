@@ -154,8 +154,6 @@ func BenchmarkStaticVOptimalConstruction(b *testing.B) {
 func BenchmarkAblationSubdivision(b *testing.B) { benchFigure(b, "ablation-subdivision") }
 func BenchmarkMetricComparison(b *testing.B)    { benchFigure(b, "metric-comparison") }
 
-func BenchmarkAblation2D(b *testing.B) { benchFigure(b, "ablation-2d") }
-
 func BenchmarkConcurrency(b *testing.B) { benchFigure(b, "concurrency") }
 
 // Concurrent-ingest benchmarks: the single-mutex Concurrent wrapper

@@ -12,7 +12,7 @@
 // (ablation-subbucket, ablation-alphamin, …) and the repo's own
 // systems experiments ("concurrency": single-thread vs mutex-wrapped
 // vs sharded ingest throughput; "serving": HTTP ingest throughput,
-// JSON vs binary batches); see DESIGN.md for the experiment index.
+// JSON vs binary batches); histbench -list prints every ID.
 //
 // The default settings are the paper's (100,000 points, 10 seeds per
 // configuration); -quick caps them for a fast smoke run.

@@ -139,7 +139,12 @@ func (h *DC) SetAlphaMin(alpha float64) error { return h.inner.SetAlphaMin(alpha
 func (h *DC) Repartitions() int { return h.inner.Repartitions() }
 
 // SetDamping toggles the futility floor on the repartition trigger
-// (default on); see the paper-fidelity notes in EXPERIMENTS.md.
+// (default on). The floor exists because on a large data set no
+// integer-border partition passes the chi-square test, so the paper's
+// undamped trigger would repartition on nearly every insertion; with
+// the floor, DC retries only once the statistic has grown 25% past
+// what the last repartition reached. Turn it off only to study the
+// paper's undamped trigger.
 func (h *DC) SetDamping(on bool) { h.inner.SetDamping(on) }
 
 // SingularCount returns the number of singleton buckets currently

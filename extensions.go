@@ -1,9 +1,6 @@
 package dynahist
 
-import (
-	"dynahist/internal/core"
-	"dynahist/internal/multidim"
-)
+import "dynahist/internal/core"
 
 // EDDado is the equi-depth sub-division variant of DADO — the other §4
 // design alternative the paper explored. Each bucket keeps an explicit
@@ -61,62 +58,3 @@ func (h *EDDado) Quantile(q float64) (float64, error) { return quantileOf(h, q) 
 
 // MaxBuckets returns the bucket budget.
 func (h *EDDado) MaxBuckets() int { return h.inner.MaxBuckets() }
-
-// Point2D is one two-dimensional data point.
-type Point2D = multidim.Point
-
-// Rect2D is an axis-aligned query/domain rectangle [X0,X1) × [Y0,Y1).
-type Rect2D = multidim.Rect
-
-// Histogram2D is a dynamic two-dimensional histogram — the paper's
-// stated future-work direction, built here as a binary-space-partition
-// of the domain with quadrant counters and DADO-style split-merge
-// maintenance. It is not safe for concurrent use.
-type Histogram2D struct {
-	inner *multidim.Histogram2D
-}
-
-// New2D returns a dynamic 2D histogram over the domain rectangle with
-// at most maxLeaves rectangular buckets.
-func New2D(domain Rect2D, maxLeaves int) (*Histogram2D, error) {
-	h, err := multidim.New2D(domain, maxLeaves)
-	if err != nil {
-		return nil, err
-	}
-	return &Histogram2D{inner: h}, nil
-}
-
-// New2DMemory sizes the histogram for a byte budget (24 bytes per
-// leaf).
-func New2DMemory(domain Rect2D, memBytes int) (*Histogram2D, error) {
-	h, err := multidim.New2DMemory(domain, memBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Histogram2D{inner: h}, nil
-}
-
-// Insert adds one occurrence of p (clamped into the domain).
-func (h *Histogram2D) Insert(p Point2D) error { return h.inner.Insert(p) }
-
-// Delete removes one occurrence of p.
-func (h *Histogram2D) Delete(p Point2D) error { return h.inner.Delete(p) }
-
-// Total returns the number of points currently summarised.
-func (h *Histogram2D) Total() float64 { return h.inner.Total() }
-
-// EstimateRect returns the approximate number of points inside the
-// query rectangle.
-func (h *Histogram2D) EstimateRect(query Rect2D) float64 { return h.inner.EstimateRect(query) }
-
-// Selectivity returns EstimateRect normalised by Total.
-func (h *Histogram2D) Selectivity(query Rect2D) float64 { return h.inner.Selectivity(query) }
-
-// NumLeaves returns the current number of rectangular buckets.
-func (h *Histogram2D) NumLeaves() int { return h.inner.NumLeaves() }
-
-// MaxLeaves returns the bucket budget.
-func (h *Histogram2D) MaxLeaves() int { return h.inner.MaxLeaves() }
-
-// Leaves returns the rectangular buckets and their counts.
-func (h *Histogram2D) Leaves() []multidim.LeafInfo { return h.inner.Leaves() }

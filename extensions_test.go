@@ -2,7 +2,6 @@ package dynahist_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"dynahist"
@@ -42,47 +41,4 @@ func TestEDDadoPublic(t *testing.T) {
 		t.Error("1 bucket: want error")
 	}
 	var _ dynahist.Histogram = h // interface compliance
-}
-
-func TestHistogram2DPublic(t *testing.T) {
-	domain := dynahist.Rect2D{X0: 0, X1: 500, Y0: 0, Y1: 500}
-	h, err := dynahist.New2D(domain, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	for range 20000 {
-		p := dynahist.Point2D{X: rng.Float64() * 500, Y: rng.Float64() * 500}
-		if err := h.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Total() != 20000 {
-		t.Fatalf("Total = %v", h.Total())
-	}
-	if h.NumLeaves() > h.MaxLeaves() {
-		t.Fatalf("leaves %d over budget %d", h.NumLeaves(), h.MaxLeaves())
-	}
-	// Uniform data: a quarter-domain query holds ≈ a quarter of rows.
-	q := dynahist.Rect2D{X0: 0, X1: 250, Y0: 0, Y1: 250}
-	if sel := h.Selectivity(q); math.Abs(sel-0.25) > 0.05 {
-		t.Errorf("quarter-domain selectivity %v, want ≈0.25", sel)
-	}
-	if err := h.Delete(dynahist.Point2D{X: 10, Y: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 19999 {
-		t.Fatalf("Total after delete = %v", h.Total())
-	}
-	leaves := h.Leaves()
-	mass := 0.0
-	for _, l := range leaves {
-		mass += l.Count
-	}
-	if math.Abs(mass-19999) > 1e-6 {
-		t.Fatalf("leaf mass %v", mass)
-	}
-	if _, err := dynahist.New2DMemory(domain, 10); err == nil {
-		t.Error("10 bytes: want error")
-	}
 }

@@ -214,8 +214,10 @@ func (h *DVO) Insert(v float64) error {
 // Delete removes one occurrence of v by decrementing the sub-counter
 // that covers it. If that counter is empty the deletion spills: first
 // to the other counters of the same bucket, then to the nearest bucket
-// with positive count (§7.3). The split-merge check runs afterwards so
-// that emptied buckets are reclaimed by zero-cost merges.
+// with positive count (§7.3), and when no bucket holds a whole point,
+// across the nearest buckets (spreadDelete). The split-merge check
+// runs afterwards so that emptied buckets are reclaimed by zero-cost
+// merges.
 func (h *DVO) Delete(v float64) error {
 	if err := h.deleteNoSettle(v); err != nil {
 		return err
@@ -234,15 +236,9 @@ func (h *DVO) deleteNoSettle(v float64) error {
 		return ErrEmpty
 	}
 	i := h.st.Find(v)
-	if i < 0 {
-		i = h.nearestPositive(v)
-		if i < 0 {
-			return ErrEmpty
-		}
-	}
-	if !h.decrement(i, v) {
-		j := h.nearestPositive(v)
-		if j < 0 || !h.decrement(j, v) {
+	if i < 0 || !h.decrement(i, v) {
+		j := nearestPositive(h.st, v)
+		if (j < 0 || !h.decrement(j, v)) && !spreadDelete(h.st, v, h.takeMass) {
 			return ErrEmpty
 		}
 	}
@@ -355,6 +351,15 @@ func (h *DVO) decrement(i int, v float64) bool {
 	return false
 }
 
+// takeMass removes amount from bucket i, scaling its counters
+// proportionally (the spreadDelete callback).
+func (h *DVO) takeMass(i int, amount float64) {
+	c := h.st.Count(i)
+	h.st.Scale(i, (c-amount)/c)
+	h.devs[i] = h.devAt(i)
+	h.refreshPairsAround(i)
+}
+
 // refreshPairsAround recomputes the cached merged deviation of the
 // pairs touching bucket i. While the cache is marked stale (batch
 // mode) this is a no-op: settle rebuilds the whole cache once, which
@@ -396,28 +401,6 @@ func (h *DVO) ensurePairCache() {
 	h.pairsStale = false
 }
 
-// nearestPositive returns the bucket with count ≥ 1 nearest to v.
-func (h *DVO) nearestPositive(v float64) int {
-	st := h.st
-	best, bestDist := -1, 0.0
-	for i := 0; i < st.Len(); i++ {
-		if st.Count(i) < 1 {
-			continue
-		}
-		d := 0.0
-		switch {
-		case v < st.Left(i):
-			d = st.Left(i) - v
-		case v >= st.Right(i):
-			d = v - st.Right(i)
-		}
-		if best == -1 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
 // nearestAny returns the bucket whose range is closest to v (the
 // containing bucket if any), or -1 for an empty store.
 func (h *DVO) nearestAny(v float64) int {
@@ -430,14 +413,7 @@ func (h *DVO) nearestAny(v float64) int {
 	}
 	best, bestDist := -1, math.Inf(1)
 	for i := 0; i < st.Len(); i++ {
-		d := 0.0
-		switch {
-		case v < st.Left(i):
-			d = st.Left(i) - v
-		case v >= st.Right(i):
-			d = v - st.Right(i)
-		}
-		if d < bestDist {
+		if d := distanceTo(st, i, v); d < bestDist {
 			best, bestDist = i, d
 		}
 	}

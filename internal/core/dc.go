@@ -192,7 +192,8 @@ func (h *DC) Insert(v float64) error {
 
 // Delete removes one occurrence of v, decrementing the containing
 // bucket or, when it is empty, the nearest bucket with positive count
-// (the §7.3 spill policy).
+// (the §7.3 spill policy); when no bucket holds a whole point, the
+// point is spread across the nearest buckets (spreadDelete).
 func (h *DC) Delete(v float64) error {
 	if err := histogram.CheckFinite(v); err != nil {
 		return err
@@ -202,12 +203,13 @@ func (h *DC) Delete(v float64) error {
 	}
 	i := h.st.Find(v)
 	if i < 0 || h.st.Count(i) < 1 {
-		i = h.nearestPositive(v)
-		if i < 0 {
-			return ErrEmpty
-		}
+		i = nearestPositive(h.st, v)
 	}
-	h.addCount(i, -1)
+	if i >= 0 {
+		h.addCount(i, -1)
+	} else if !spreadDelete(h.st, v, func(j int, amount float64) { h.addCount(j, -amount) }) {
+		return ErrEmpty
+	}
 	h.total--
 	if h.loaded {
 		h.maybeRepartition()
@@ -367,29 +369,6 @@ func (h *DC) addCount(i int, delta float64) {
 		h.regSum += nw - old
 		h.regSum2 += nw*nw - old*old
 	}
-}
-
-// nearestPositive returns the bucket with count ≥ 1 nearest to v, or
-// -1 if none exists.
-func (h *DC) nearestPositive(v float64) int {
-	st := h.st
-	best, bestDist := -1, 0.0
-	for i := 0; i < st.Len(); i++ {
-		if st.Count(i) < 1 {
-			continue
-		}
-		d := 0.0
-		switch {
-		case v < st.Left(i):
-			d = st.Left(i) - v
-		case v >= st.Right(i):
-			d = v - st.Right(i)
-		}
-		if best == -1 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
 }
 
 // rebuildChiState recomputes the chi-square sums from scratch.

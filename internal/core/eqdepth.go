@@ -185,7 +185,7 @@ func (h *EDDado) Delete(v float64) error {
 	}
 	i := h.st.Find(v)
 	if i < 0 || !h.decrement(i, v) {
-		i = h.nearestPositive(v)
+		i = nearestPositive(h.st, v)
 		if i < 0 || !h.decrement(i, v) {
 			return ErrEmpty
 		}
@@ -220,27 +220,6 @@ func (h *EDDado) decrement(i int, v float64) bool {
 	return true
 }
 
-func (h *EDDado) nearestPositive(v float64) int {
-	st := h.st
-	best, bestDist := -1, 0.0
-	for i := 0; i < st.Len(); i++ {
-		if st.Count(i) < 1 {
-			continue
-		}
-		d := 0.0
-		switch {
-		case v < st.Left(i):
-			d = st.Left(i) - v
-		case v >= st.Right(i):
-			d = v - st.Right(i)
-		}
-		if best == -1 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
 func (h *EDDado) insertSingleton(v, count float64) {
 	st := h.st
 	left := math.Floor(v)
@@ -253,7 +232,7 @@ func (h *EDDado) insertSingleton(v, count float64) {
 		right = st.Left(pos)
 	}
 	if right <= left {
-		if i := h.nearestPositive(v); i >= 0 {
+		if i := nearestPositive(h.st, v); i >= 0 {
 			if v < h.splits[i] {
 				st.Add(i, 0, count)
 			} else {

@@ -198,9 +198,11 @@ func Fig15(o Options) (Figure, error) {
 	)
 }
 
-// Fig19 reproduces Figure 19: the real-world mail-order trace
-// (substituted by the synthetic spiky trace, see DESIGN.md §4), KS vs
-// memory for AC, DC and DADO.
+// Fig19 reproduces Figure 19: the real-world mail-order trace, KS vs
+// memory for AC, DC and DADO. The paper's trace is proprietary, so
+// distgen.MailOrder stands in for it: a synthetic trace of the same
+// size and domain that keeps the property the figure depends on, far
+// more spikes than any affordable histogram has buckets.
 func Fig19(o Options) (Figure, error) {
 	o = o.normalized()
 	fig := Figure{

@@ -98,7 +98,6 @@ var Registry = map[string]Runner{
 	"ablation-subbucket":   AblationSubBuckets,
 	"ablation-alphamin":    AblationAlphaMin,
 	"ablation-subdivision": AblationSubdivision,
-	"ablation-2d":          Ablation2D,
 	"metric-comparison":    MetricComparison,
 	"concurrency":          Concurrency,
 	"serving":              Serving,

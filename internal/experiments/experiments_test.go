@@ -324,30 +324,6 @@ func TestMetricComparisonOrderings(t *testing.T) {
 	}
 }
 
-func TestAblation2D(t *testing.T) {
-	fig := runFig(t, "ablation-2d")
-	adaptive := seriesByLabel(t, fig, "adaptive 2D")
-	grid := seriesByLabel(t, fig, "fixed grid")
-	for _, s := range fig.Series {
-		for i, y := range s.Y {
-			if y < 0 {
-				t.Errorf("%s[%d]: negative error %v", s.Label, i, y)
-			}
-		}
-	}
-	// The adaptive partition must beat the fixed grid on clustered data
-	// on average across budgets.
-	if meanY(adaptive) > meanY(grid) {
-		t.Errorf("adaptive (%.4f) should beat fixed grid (%.4f) on clustered data",
-			meanY(adaptive), meanY(grid))
-	}
-	// More buckets must help the adaptive histogram.
-	if adaptive.Y[len(adaptive.Y)-1] > adaptive.Y[0] {
-		t.Errorf("adaptive error should fall with budget: %v -> %v",
-			adaptive.Y[0], adaptive.Y[len(adaptive.Y)-1])
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	fig := Figure{
 		ID: "figX", XLabel: "x", YLabel: "y",
