@@ -225,6 +225,47 @@ func TestSuperposeAndReduce(t *testing.T) {
 	}
 }
 
+// TestStaticFromReducedUnionDeletesEveryPoint: reducing a two-site
+// union leaves fractional counts, so the last points of a static built
+// from it sit in buckets that each hold less than one. Every inserted
+// point must still delete.
+func TestStaticFromReducedUnionDeletesEveryPoint(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sites := []dynahist.Histogram{
+			mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(8)),
+			mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(8)),
+		}
+		values := make([]float64, 100)
+		for i := range values {
+			values[i] = float64(rng.Intn(200))
+			if err := sites[i%2].Insert(values[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		u, err := dynahist.Superpose(sites...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := dynahist.Reduce(u, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := dynahist.NewStaticFromBuckets(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range values {
+			if err := g.Delete(v); err != nil {
+				t.Fatalf("seed %d: delete %d of %v (Total %v): %v", seed, i+1, v, g.Total(), err)
+			}
+		}
+		if math.Abs(g.Total()) > 1e-6 {
+			t.Fatalf("seed %d: Total %v after deleting every point", seed, g.Total())
+		}
+	}
+}
+
 func TestConcurrentWrapper(t *testing.T) {
 	h := dynahist.NewConcurrent(mustNewKind(t, dynahist.KindDADO, dynahist.WithBuckets(32)))
 	var wg sync.WaitGroup

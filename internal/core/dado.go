@@ -215,7 +215,7 @@ func (h *DVO) Insert(v float64) error {
 // that covers it. If that counter is empty the deletion spills: first
 // to the other counters of the same bucket, then to the nearest bucket
 // with positive count (§7.3), and when no bucket holds a whole point,
-// across the nearest buckets (spreadDelete). The split-merge check
+// across the nearest buckets (SpreadDelete). The split-merge check
 // runs afterwards so that emptied buckets are reclaimed by zero-cost
 // merges.
 func (h *DVO) Delete(v float64) error {
@@ -237,8 +237,8 @@ func (h *DVO) deleteNoSettle(v float64) error {
 	}
 	i := h.st.Find(v)
 	if i < 0 || !h.decrement(i, v) {
-		j := nearestPositive(h.st, v)
-		if (j < 0 || !h.decrement(j, v)) && !spreadDelete(h.st, v, h.takeMass) {
+		j := histogram.NearestPositive(h.st, v)
+		if (j < 0 || !h.decrement(j, v)) && !histogram.SpreadDelete(h.st, v, h.takeMass) {
 			return ErrEmpty
 		}
 	}
@@ -352,7 +352,7 @@ func (h *DVO) decrement(i int, v float64) bool {
 }
 
 // takeMass removes amount from bucket i, scaling its counters
-// proportionally (the spreadDelete callback).
+// proportionally (the SpreadDelete callback).
 func (h *DVO) takeMass(i int, amount float64) {
 	c := h.st.Count(i)
 	h.st.Scale(i, (c-amount)/c)
@@ -404,20 +404,10 @@ func (h *DVO) ensurePairCache() {
 // nearestAny returns the bucket whose range is closest to v (the
 // containing bucket if any), or -1 for an empty store.
 func (h *DVO) nearestAny(v float64) int {
-	st := h.st
-	if st.Len() == 0 {
-		return -1
-	}
-	if i := st.Find(v); i >= 0 {
+	if i := h.st.Find(v); i >= 0 {
 		return i
 	}
-	best, bestDist := -1, math.Inf(1)
-	for i := 0; i < st.Len(); i++ {
-		if d := distanceTo(st, i, v); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
+	return histogram.Nearest(h.st, v)
 }
 
 // insertSingleton adds a width-one bucket [v, v+1) holding count points

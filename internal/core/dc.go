@@ -193,7 +193,7 @@ func (h *DC) Insert(v float64) error {
 // Delete removes one occurrence of v, decrementing the containing
 // bucket or, when it is empty, the nearest bucket with positive count
 // (the §7.3 spill policy); when no bucket holds a whole point, the
-// point is spread across the nearest buckets (spreadDelete).
+// point is spread across the nearest buckets (SpreadDelete).
 func (h *DC) Delete(v float64) error {
 	if err := histogram.CheckFinite(v); err != nil {
 		return err
@@ -203,11 +203,11 @@ func (h *DC) Delete(v float64) error {
 	}
 	i := h.st.Find(v)
 	if i < 0 || h.st.Count(i) < 1 {
-		i = nearestPositive(h.st, v)
+		i = histogram.NearestPositive(h.st, v)
 	}
 	if i >= 0 {
 		h.addCount(i, -1)
-	} else if !spreadDelete(h.st, v, func(j int, amount float64) { h.addCount(j, -amount) }) {
+	} else if !histogram.SpreadDelete(h.st, v, func(j int, amount float64) { h.addCount(j, -amount) }) {
 		return ErrEmpty
 	}
 	h.total--

@@ -175,7 +175,8 @@ func (h *EDDado) Insert(v float64) error {
 }
 
 // Delete removes one occurrence of v, spilling to the nearest bucket
-// with positive count when needed (§7.3).
+// with positive count when needed (§7.3), and across the nearest
+// buckets when no bucket holds a whole point (SpreadDelete).
 func (h *EDDado) Delete(v float64) error {
 	if err := histogram.CheckFinite(v); err != nil {
 		return err
@@ -185,14 +186,22 @@ func (h *EDDado) Delete(v float64) error {
 	}
 	i := h.st.Find(v)
 	if i < 0 || !h.decrement(i, v) {
-		i = nearestPositive(h.st, v)
-		if i < 0 || !h.decrement(i, v) {
+		j := histogram.NearestPositive(h.st, v)
+		if (j < 0 || !h.decrement(j, v)) && !histogram.SpreadDelete(h.st, v, h.takeMass) {
 			return ErrEmpty
 		}
 	}
 	h.total--
 	h.maybeSplitMerge()
 	return nil
+}
+
+// takeMass removes amount from bucket i, scaling both halves
+// proportionally (the SpreadDelete callback).
+func (h *EDDado) takeMass(i int, amount float64) {
+	c := h.st.Count(i)
+	h.st.Scale(i, (c-amount)/c)
+	h.devs[i] = h.deviation(i)
 }
 
 func (h *EDDado) decrement(i int, v float64) bool {
@@ -232,7 +241,7 @@ func (h *EDDado) insertSingleton(v, count float64) {
 		right = st.Left(pos)
 	}
 	if right <= left {
-		if i := nearestPositive(h.st, v); i >= 0 {
+		if i := histogram.NearestPositive(h.st, v); i >= 0 {
 			if v < h.splits[i] {
 				st.Add(i, 0, count)
 			} else {

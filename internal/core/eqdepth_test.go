@@ -116,6 +116,40 @@ func TestEDDadoInsertDeleteMass(t *testing.T) {
 	}
 }
 
+// TestEDDadoDeleteSpreadsFractionalMass replays a sequence after which
+// the last point is spread over buckets that each hold less than one:
+// the delete must take it from them instead of reporting ErrEmpty.
+func TestEDDadoDeleteSpreadsFractionalMass(t *testing.T) {
+	h, err := NewEDDado(AbsDeviation, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []int{2, 8, 0, -2, -8, 6, -6} {
+		if op < 0 {
+			err = h.Delete(float64(-op))
+		} else {
+			err = h.Insert(float64(op))
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	for i := range h.st.Len() {
+		if h.st.Count(i) >= 1 {
+			t.Fatalf("bucket %d holds %v; the case needs every bucket below one point", i, h.st.Count(i))
+		}
+	}
+	if err := h.Delete(0); err != nil {
+		t.Fatalf("Delete(0) with Total() = 1: %v", err)
+	}
+	if h.Total() != 0 {
+		t.Fatalf("Total = %v after deleting the last point", h.Total())
+	}
+	if mass := histogram.TotalCount(h.Buckets()); math.Abs(mass) > 1e-9 {
+		t.Fatalf("bucket mass %v after deleting the last point", mass)
+	}
+}
+
 func TestEDDadoCDFMonotone(t *testing.T) {
 	for _, kind := range []Deviation{Variance, AbsDeviation} {
 		h, err := NewEDDado(kind, 16)

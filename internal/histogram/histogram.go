@@ -185,26 +185,10 @@ func FindBucket(buckets []Bucket, x float64) int {
 // NearestBucket returns the index of the bucket whose range is closest
 // to x (the containing bucket if any), or -1 for an empty list.
 func NearestBucket(buckets []Bucket, x float64) int {
-	if len(buckets) == 0 {
-		return -1
-	}
 	if i := FindBucket(buckets, x); i >= 0 {
 		return i
 	}
-	best, bestDist := -1, math.Inf(1)
-	for i := range buckets {
-		d := 0.0
-		switch {
-		case x < buckets[i].Left:
-			d = buckets[i].Left - x
-		case x >= buckets[i].Right:
-			d = x - buckets[i].Right
-		}
-		if d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
+	return Nearest(BucketList(buckets), x)
 }
 
 // MassBelow returns the total mass of the bucket list in (-∞, x].

@@ -1,9 +1,12 @@
 package histogram
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"dynahist/internal/histerr"
 )
 
 func bucketsFixture() []Bucket {
@@ -218,6 +221,32 @@ func TestPiecewiseDeleteSpill(t *testing.T) {
 	}
 	if err := p.Delete(3); err == nil {
 		t.Error("delete from empty: want error")
+	}
+}
+
+// TestPiecewiseDeleteSpreadsFractionalMass: two half-point buckets
+// hold one point between them, so deleting it must take half from each
+// rather than report ErrEmpty.
+func TestPiecewiseDeleteSpreadsFractionalMass(t *testing.T) {
+	p, err := NewPiecewise([]Bucket{
+		{Left: 0, Right: 1, Subs: []float64{0.5}},
+		{Left: 1, Right: 2, Subs: []float64{0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Total() != 1 {
+		t.Fatalf("Total = %v, want 1", p.Total())
+	}
+	if err := p.Delete(0); err != nil {
+		t.Fatalf("Delete(0) with Total() = 1: %v", err)
+	}
+	got := p.Buckets()
+	if p.Total() != 0 || got[0].Count() != 0 || got[1].Count() != 0 {
+		t.Fatalf("after delete: Total %v, counts %v %v, want all 0", p.Total(), got[0].Count(), got[1].Count())
+	}
+	if err := p.Delete(0); !errors.Is(err, histerr.ErrEmpty) {
+		t.Fatalf("delete from empty: %v, want ErrEmpty", err)
 	}
 }
 

@@ -110,7 +110,8 @@ func (p *Piecewise) Insert(v float64) error {
 
 // Delete removes one occurrence of v, spilling to the nearest bucket
 // with positive count when the containing sub-bucket is empty (the
-// paper's §7.3 policy).
+// paper's §7.3 policy), and across the nearest buckets when no bucket
+// holds a whole point (SpreadDelete).
 func (p *Piecewise) Delete(v float64) error {
 	if err := CheckFinite(v); err != nil {
 		return err
@@ -123,10 +124,11 @@ func (p *Piecewise) Delete(v float64) error {
 		return fmt.Errorf("histogram: %w: delete from bucketless piecewise histogram", histerr.ErrEmpty)
 	}
 	if !p.decrementAt(i, v) {
-		if j := nearestPositive(p.buckets, v); j >= 0 {
-			p.decrementAnySub(j)
-		} else {
-			return fmt.Errorf("histogram: %w: no positive bucket to delete from", histerr.ErrEmpty)
+		bs := BucketList(p.buckets)
+		if j := NearestPositive(bs, v); j >= 0 {
+			p.takeMass(j, 1)
+		} else if !SpreadDelete(bs, v, p.takeMass) {
+			return fmt.Errorf("histogram: %w: less than one point to delete", histerr.ErrEmpty)
 		}
 	}
 	p.total--
@@ -159,48 +161,20 @@ func (p *Piecewise) decrementAt(i int, v float64) bool {
 	}
 	// Fractional counters (from merged/static construction) may hold a
 	// whole point collectively without any single counter reaching 1.
-	if c := b.Count(); c >= 1 {
-		scale := (c - 1) / c
-		for j := range b.Subs {
-			b.Subs[j] *= scale
-		}
+	if b.Count() >= 1 {
+		p.takeMass(i, 1)
 		return true
 	}
 	return false
 }
 
-// decrementAnySub removes one point from bucket j proportionally
-// across its sub-buckets.
-func (p *Piecewise) decrementAnySub(j int) {
+// takeMass removes amount, at most its count, from bucket j, scaling
+// its sub-buckets proportionally.
+func (p *Piecewise) takeMass(j int, amount float64) {
 	b := &p.buckets[j]
 	c := b.Count()
-	if c < 1 {
-		return
-	}
-	scale := (c - 1) / c
+	scale := (c - amount) / c
 	for s := range b.Subs {
 		b.Subs[s] *= scale
 	}
-}
-
-// nearestPositive returns the index of the bucket with count ≥ 1 whose
-// range is closest to v, or -1.
-func nearestPositive(buckets []Bucket, v float64) int {
-	best, bestDist := -1, 0.0
-	for i := range buckets {
-		if buckets[i].Count() < 1 {
-			continue
-		}
-		d := 0.0
-		switch {
-		case v < buckets[i].Left:
-			d = buckets[i].Left - v
-		case v >= buckets[i].Right:
-			d = v - buckets[i].Right
-		}
-		if best == -1 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
 }

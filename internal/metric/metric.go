@@ -60,56 +60,6 @@ func KS(approx CDF, truth *dist.Tracker) (float64, error) {
 	return d, nil
 }
 
-// KSBetween returns the KS statistic between two arbitrary CDFs,
-// evaluated on the integer grid [0, domain] plus half-points. It is
-// used where both distributions are approximations (e.g. comparing two
-// union-construction strategies against each other).
-func KSBetween(a, b CDF, domain int) float64 {
-	d := 0.0
-	for v := 0; v <= domain+1; v++ {
-		x := float64(v)
-		if diff := math.Abs(a(x) - b(x)); diff > d {
-			d = diff
-		}
-		if diff := math.Abs(a(x+0.5) - b(x+0.5)); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
-// ChiSquare returns the chi-square statistic between the histogram's
-// estimated per-bin counts and the exact counts, over nbins equal-width
-// bins spanning the domain. estimator must return the approximate count
-// of points with integer value in [lo, hi]. Bins whose exact count is
-// zero contribute (est)²/1 to avoid division by zero, following the
-// usual small-expectation guard.
-func ChiSquare(estimator func(lo, hi float64) float64, truth *dist.Tracker, nbins int) (float64, error) {
-	if truth.Total() == 0 {
-		return 0, ErrEmpty
-	}
-	if nbins < 1 {
-		return 0, errors.New("metric: nbins < 1")
-	}
-	domain := truth.Domain()
-	chi2 := 0.0
-	for b := range nbins {
-		lo := b * (domain + 1) / nbins
-		hi := (b+1)*(domain+1)/nbins - 1
-		if hi < lo {
-			continue
-		}
-		exact := float64(truth.RangeCount(lo, hi))
-		est := estimator(float64(lo), float64(hi))
-		denom := exact
-		if denom < 1 {
-			denom = 1
-		}
-		chi2 += (est - exact) * (est - exact) / denom
-	}
-	return chi2, nil
-}
-
 // RangeQuery is one closed range predicate lo ≤ X ≤ hi over integer
 // values.
 type RangeQuery struct {

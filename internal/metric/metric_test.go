@@ -114,71 +114,6 @@ func TestKSInUnitInterval(t *testing.T) {
 	}
 }
 
-func TestKSBetween(t *testing.T) {
-	a := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 10 {
-			return 1
-		}
-		return x / 10
-	}
-	b := func(x float64) float64 {
-		if x < 5 {
-			return 0
-		}
-		return 1
-	}
-	d := KSBetween(a, b, 10)
-	if math.Abs(d-0.5) > 0.06 {
-		t.Errorf("KSBetween = %v, want ≈0.5", d)
-	}
-	if KSBetween(a, a, 10) != 0 {
-		t.Error("KSBetween(a,a) must be 0")
-	}
-}
-
-func TestChiSquareZeroForPerfect(t *testing.T) {
-	tr := populated(t, 20, 1, 1, 5, 9, 14, 14)
-	p := exactHistogram(t, tr)
-	chi2, err := ChiSquare(p.EstimateRange, tr, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chi2 > 1e-9 {
-		t.Errorf("chi2 of exact = %v, want 0", chi2)
-	}
-}
-
-func TestChiSquarePositiveForBad(t *testing.T) {
-	tr := populated(t, 20, 0, 0, 0, 0, 0)
-	p, err := histogram.NewPiecewise([]histogram.Bucket{
-		{Left: 15, Right: 21, Subs: []float64{5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chi2, err := ChiSquare(p.EstimateRange, tr, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chi2 <= 0 {
-		t.Errorf("chi2 = %v, want > 0", chi2)
-	}
-}
-
-func TestChiSquareErrors(t *testing.T) {
-	tr := dist.New(5)
-	if _, err := ChiSquare(func(lo, hi float64) float64 { return 0 }, tr, 3); err == nil {
-		t.Error("empty truth: want error")
-	}
-	tr2 := populated(t, 5, 1)
-	if _, err := ChiSquare(func(lo, hi float64) float64 { return 0 }, tr2, 0); err == nil {
-		t.Error("nbins=0: want error")
-	}
-}
-
 func TestAvgRelativeError(t *testing.T) {
 	tr := populated(t, 10, 2, 2, 8, 8)
 	p := exactHistogram(t, tr)

@@ -1,10 +1,9 @@
 package static
 
 import (
-	"container/heap"
-
 	"dynahist/internal/dist"
 	"dynahist/internal/histogram"
+	"dynahist/internal/union"
 )
 
 // SSBM builds the Successive Similar Bucket Merge histogram (paper §5):
@@ -12,92 +11,27 @@ import (
 // the adjacent pair whose merged bucket has the smallest deviation V_M
 // (Eq. 4) until n buckets remain.
 //
-// The merged deviation of a candidate is computed exactly over all
-// integer domain values the merged bucket would span — including the
-// zero-frequency values between populated ones, which is what makes
-// merging across wide empty gaps expensive and keeps bucket borders at
-// the edges of the populated regions.
+// The merge pass is union.Reduce over the unit-width singletons
+// [v, v+1), the same pass §8 runs on a superposed histogram. Over unit
+// widths Reduce's per-bucket Σ len·density² is Σf², a group's width is
+// the number m of integer values it spans, and its merged cost
+// e2 − w·μ² is exactly Eq. 4's Σf² − m·μ². Zero-frequency values
+// between populated ones add width but nothing to Σf², which is what
+// makes merging across wide empty gaps expensive and keeps bucket
+// borders at the edges of the populated regions.
 //
 // The paper quotes the cost as quadratic in the number of distinct
-// values for the naive re-scan; this implementation reproduces the
-// identical merge sequence with a lazy-deletion min-heap over adjacent
-// pairs in O(D log D).
+// values for the naive re-scan; Reduce reproduces the identical merge
+// sequence with a lazy-deletion min-heap over adjacent pairs in
+// O(D log D).
 func SSBM(tr *dist.Tracker, n int) (*histogram.Piecewise, error) {
 	values, counts, err := checkInput(tr, n)
 	if err != nil {
 		return nil, err
 	}
-	d := len(values)
-	if n >= d {
-		return Exact(tr)
-	}
-
-	// Segment state: doubly-linked list over initial singletons.
-	segs := make([]ssbmSegment, d)
-	for i, v := range values {
-		f := float64(counts[i])
-		segs[i] = ssbmSegment{
-			lo: v, hi: v, // inclusive value range
-			sum: f, sum2: f * f,
-			prev: i - 1, next: i + 1,
-			version: 0, alive: true,
-		}
-	}
-	segs[d-1].next = -1
-
-	h := &pairHeap{}
-	heap.Init(h)
-	for i := 0; i+1 < d; i++ {
-		heap.Push(h, pairEntry{
-			cost: mergedCost(&segs[i], &segs[i+1]),
-			left: i, lv: 0, rv: 0,
-		})
-	}
-
-	alive := d
-	for alive > n && h.Len() > 0 {
-		e := heap.Pop(h).(pairEntry)
-		l := e.left
-		if !segs[l].alive || segs[l].version != e.lv {
-			continue
-		}
-		r := segs[l].next
-		if r < 0 || segs[r].version != e.rv {
-			continue
-		}
-		// Merge r into l.
-		segs[l].hi = segs[r].hi
-		segs[l].sum += segs[r].sum
-		segs[l].sum2 += segs[r].sum2
-		segs[l].version++
-		segs[r].alive = false
-		segs[l].next = segs[r].next
-		if segs[l].next >= 0 {
-			segs[segs[l].next].prev = l
-		}
-		alive--
-		if p := segs[l].prev; p >= 0 {
-			heap.Push(h, pairEntry{
-				cost: mergedCost(&segs[p], &segs[l]),
-				left: p, lv: segs[p].version, rv: segs[l].version,
-			})
-		}
-		if nx := segs[l].next; nx >= 0 {
-			heap.Push(h, pairEntry{
-				cost: mergedCost(&segs[l], &segs[nx]),
-				left: l, lv: segs[l].version, rv: segs[nx].version,
-			})
-		}
-	}
-
-	buckets := make([]histogram.Bucket, 0, n)
-	for i := 0; i >= 0; i = segs[i].next {
-		s := &segs[i]
-		buckets = append(buckets, histogram.Bucket{
-			Left:  float64(s.lo),
-			Right: float64(s.hi + 1),
-			Subs:  []float64{s.sum},
-		})
+	buckets, err := union.Reduce(singletons(values, counts), n)
+	if err != nil {
+		return nil, err
 	}
 	return histogram.NewPiecewise(buckets)
 }
@@ -109,48 +43,4 @@ func SSBMMemory(tr *dist.Tracker, memBytes int) (*histogram.Piecewise, error) {
 		return nil, err
 	}
 	return SSBM(tr, n)
-}
-
-type ssbmSegment struct {
-	lo, hi     int     // inclusive integer value range
-	sum, sum2  float64 // Σf and Σf² over the populated values inside
-	prev, next int
-	version    int
-	alive      bool
-}
-
-// mergedCost is the deviation V_M of the bucket that would result from
-// merging a and b: the sum of squared deviations of the per-value
-// frequencies (zeros included) from the merged mean frequency, over the
-// merged span.
-func mergedCost(a, b *ssbmSegment) float64 {
-	m := float64(b.hi - a.lo + 1) // domain values spanned, zeros included
-	sum := a.sum + b.sum
-	sum2 := a.sum2 + b.sum2
-	mean := sum / m
-	c := sum2 - m*mean*mean // Σ(f−μ)² = Σf² − m·μ²  (zeros add 0 to Σf²)
-	if c < 0 {
-		return 0
-	}
-	return c
-}
-
-type pairEntry struct {
-	cost   float64
-	left   int
-	lv, rv int
-}
-
-type pairHeap []pairEntry
-
-func (h pairHeap) Len() int           { return len(h) }
-func (h pairHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
-func (h pairHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)        { *h = append(*h, x.(pairEntry)) }
-func (h *pairHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -92,11 +92,9 @@ func Build(kind Kind, tr *dist.Tracker, n int) (*histogram.Piecewise, error) {
 	case KindExact:
 		return Exact(tr)
 	default:
-		return nil, fmt.Errorf("static: unknown kind %d", int(k(kind)))
+		return nil, fmt.Errorf("static: unknown kind %d", int(kind))
 	}
 }
-
-func k(kd Kind) int { return int(kd) }
 
 // BuildMemory constructs a static histogram sized for a byte budget
 // using the paper's accounting (one border + one counter per bucket).
@@ -128,11 +126,20 @@ func Exact(tr *dist.Tracker) (*histogram.Piecewise, error) {
 	if err != nil {
 		return nil, err
 	}
+	return histogram.NewPiecewise(singletons(values, counts))
+}
+
+// singletons returns one unit-width bucket [v, v+1) per distinct
+// value: the loading state of Exact and SSBM. The counters are cut
+// from one slab, so the list costs two allocations at any size.
+func singletons(values []int, counts []int64) []histogram.Bucket {
 	buckets := make([]histogram.Bucket, len(values))
+	slab := make([]float64, len(values))
 	for i, v := range values {
-		buckets[i] = histogram.Bucket{Left: float64(v), Right: float64(v + 1), Subs: []float64{float64(counts[i])}}
+		slab[i] = float64(counts[i])
+		buckets[i] = histogram.Bucket{Left: float64(v), Right: float64(v + 1), Subs: slab[i : i+1 : i+1]}
 	}
-	return histogram.NewPiecewise(buckets)
+	return buckets
 }
 
 // EquiWidth partitions the populated value range into n equal-width

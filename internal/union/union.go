@@ -194,6 +194,11 @@ func dedupeBorders(borders []border) []float64 {
 // merging the adjacent pair with the smallest merged variance — the
 // SSBM technique applied to an already-bucketised distribution ("treat
 // the histogram as a data set to be partitioned", §8).
+//
+// It is the one SSBM pass in the module: static.SSBM (§5) runs it over
+// unit-width singletons, where the merged variance is exactly Eq. 4;
+// the §8 union reduces a superposed histogram with it; and so do the
+// shard engine's merge budget and the cross-site fanout.
 func Reduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 	if n < 1 {
 		return nil, errors.New("union: reduce budget < 1")

@@ -6,8 +6,6 @@ import (
 	"testing/quick"
 
 	"dynahist/internal/histogram"
-	"dynahist/internal/metric"
-	"dynahist/internal/static"
 )
 
 func TestSuperposeErrors(t *testing.T) {
@@ -179,55 +177,6 @@ func TestGenerateSitesZSiteSkew(t *testing.T) {
 	}
 	if float64(max) < 0.5*float64(cfg.TotalPoints) {
 		t.Errorf("ZSite=3: largest site %d of %d, want > half", max, cfg.TotalPoints)
-	}
-}
-
-// Integration: the two §8 strategies produce global histograms of
-// similar quality (paper's conclusion from Figs. 20-23).
-func TestUnionStrategiesComparable(t *testing.T) {
-	cfg := DefaultSites(3)
-	cfg.TotalPoints = 20000
-	sites, all, err := GenerateSites(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const mem = 250
-	// histogram + union.
-	var members [][]histogram.Bucket
-	for _, s := range sites {
-		h, err := static.SSBMMemory(s, mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members = append(members, h.Buckets())
-	}
-	super, err := Superpose(members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := histogram.BucketsForMemory(mem, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reduced, err := Reduce(super, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ksHU, err := metric.KS(CDFOf(reduced), all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// union + histogram.
-	direct, err := static.SSBMMemory(all, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ksUH, err := metric.KS(direct.CDF, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ksHU > 5*ksUH+0.05 || ksUH > 5*ksHU+0.05 {
-		t.Errorf("strategies should be comparable: hist+union %v vs union+hist %v", ksHU, ksUH)
 	}
 }
 
