@@ -4,9 +4,11 @@
 // histogram with a border wherever any member has one represents the
 // combined distribution exactly — merging loses nothing — so a global
 // answer needs only one snapshot envelope per site, not the data. The
-// Fanout fetches every site's envelope concurrently, superposes them
-// into the lossless union, optionally reduces back to a bucket budget
-// with the paper's SSBM pass, and answers the whole QuerySpec from the
+// Fanout fetches and restores every site's envelope concurrently, then
+// superposes every site's shard bucket lists in one pass into the
+// lossless union — superposition is associative, so no site merges its
+// own shards first — optionally reduces back to a bucket budget with
+// the paper's SSBM pass, and answers the whole QuerySpec from the
 // merged result. A site that cannot be reached degrades the answer to
 // the reachable sites and flags it Partial rather than failing the
 // read.
@@ -149,10 +151,11 @@ type DescribeOptions struct {
 }
 
 // Describe answers the spec over the global distribution: every
-// site's envelope is fetched concurrently, the snapshots are
-// superposed into the lossless §8 union (reduced to opts.MaxBuckets
-// when set), and the spec's shape statistics — quantiles, CDF, PDF,
-// ranges and buckets — are evaluated against the merged histogram.
+// site's envelope is fetched and restored concurrently, all the
+// restored sites' shards are superposed in one pass into the lossless
+// §8 union (reduced to opts.MaxBuckets when set), and the spec's shape
+// statistics — quantiles, CDF, PDF, ranges and buckets — are evaluated
+// against the merged histogram.
 // Total is the exact sum of the reachable sites' totals, not the
 // union's float-summed bucket mass. Sites that fail are skipped and
 // flagged — the answer is Partial, not an error — but a read where
@@ -177,14 +180,9 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 				sr.Err = fmt.Errorf("restoring envelope: %w", err)
 				return
 			}
-			// Pin the merged view here, so the sites' shards merge in
-			// parallel and Superpose below reuses each cached view.
-			if e, ok := h.(dynahist.Estimator); ok {
-				if _, err := e.View(); err != nil {
-					sr.Err = fmt.Errorf("merging envelope: %w", err)
-					return
-				}
-			}
+			// Nothing merges here: Superpose below takes each restored
+			// Sharded's shard bucket lists straight into the one §8
+			// union, so no site builds its own merged view.
 			sr.Site, sr.Watermark, sr.Total = env.Site, env.Watermark, h.Total()
 			hists[i] = h
 		}()

@@ -1,10 +1,10 @@
 package main
 
 // The -json / -compare modes: a fixed micro-benchmark smoke suite over
-// the ingest and serving spines, emitted as machine-readable JSON so CI
-// can record one point per PR of the performance trajectory and diff a
-// fresh run against the committed baseline (BENCH_PR19.json at the
-// repo root).
+// the ingest, serving and global-read spines, emitted as machine-
+// readable JSON so CI can record one point per PR of the performance
+// trajectory and diff a fresh run against the committed baseline (the
+// newest BENCH_*.json at the repo root).
 
 import (
 	"bytes"
@@ -60,6 +60,7 @@ var benchSuite = []struct {
 	{"metrics_scrape", benchMetricsScrape},
 	{"sharded_total_after_write", benchShardedAfterWrite(false)},
 	{"sharded_view_after_write", benchShardedAfterWrite(true)},
+	{"fanout_describe_2_sites", benchFanoutDescribe},
 }
 
 func benchDADOInsertBatch(b *testing.B) {
@@ -174,6 +175,63 @@ func benchShardedAfterWrite(view bool) func(b *testing.B) {
 			} else if _, err := h.View(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// benchFanoutDescribe measures the client-side compute of a two-site
+// global read: restore both sites' snapshot envelopes (4 DADO shards at
+// 1 KB each, half of 200k reference points per site), superpose them
+// into the §8 union, reduce it to 256 buckets and build the union's
+// view — the steps a client.Fanout.Describe runs after its fetches.
+func benchFanoutDescribe(b *testing.B) {
+	cfg := distgen.Reference(1)
+	cfg.Points = 200_000
+	ints, err := distgen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vs := make([]float64, len(ints))
+	for i, v := range distgen.Shuffled(ints, 1) {
+		vs[i] = float64(v)
+	}
+	var envs [2][]byte
+	for s := range envs {
+		h, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
+			return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
+		}, dynahist.WithShards(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		half := len(vs) / 2
+		if err := h.InsertBatch(vs[s*half : (s+1)*half]); err != nil {
+			b.Fatal(err)
+		}
+		if envs[s], err = h.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sites := make([]dynahist.Histogram, len(envs))
+	b.ReportAllocs()
+	for b.Loop() {
+		for s, env := range envs {
+			if sites[s], err = dynahist.Restore(env); err != nil {
+				b.Fatal(err)
+			}
+		}
+		u, err := dynahist.Superpose(sites...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if u, err = dynahist.Reduce(u, 256); err != nil {
+			b.Fatal(err)
+		}
+		g, err := dynahist.NewStaticFromBuckets(u)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.View(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

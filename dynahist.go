@@ -111,23 +111,36 @@ type Histogram interface {
 }
 
 // toPublic converts internal buckets to the public representation.
+// The counters are copied into one slab; each bucket's slice is capped
+// at its own length, so appending to one never touches its neighbour.
 func toPublic(bs []histogram.Bucket) []Bucket {
 	out := make([]Bucket, len(bs))
+	k := 0
 	for i := range bs {
-		subs := make([]float64, len(bs[i].Subs))
-		copy(subs, bs[i].Subs)
-		out[i] = Bucket{Left: bs[i].Left, Right: bs[i].Right, Counters: subs}
+		k += len(bs[i].Subs)
+	}
+	slab := make([]float64, 0, k)
+	for i := range bs {
+		n := len(slab)
+		slab = append(slab, bs[i].Subs...)
+		out[i] = Bucket{Left: bs[i].Left, Right: bs[i].Right, Counters: slab[n:len(slab):len(slab)]}
 	}
 	return out
 }
 
-// toInternal converts public buckets to the internal representation.
+// toInternal converts public buckets to the internal representation,
+// with the counters in one slab as in toPublic.
 func toInternal(bs []Bucket) []histogram.Bucket {
 	out := make([]histogram.Bucket, len(bs))
+	k := 0
 	for i := range bs {
-		subs := make([]float64, len(bs[i].Counters))
-		copy(subs, bs[i].Counters)
-		out[i] = histogram.Bucket{Left: bs[i].Left, Right: bs[i].Right, Subs: subs}
+		k += len(bs[i].Counters)
+	}
+	slab := make([]float64, 0, k)
+	for i := range bs {
+		n := len(slab)
+		slab = append(slab, bs[i].Counters...)
+		out[i] = histogram.Bucket{Left: bs[i].Left, Right: bs[i].Right, Subs: slab[n:len(slab):len(slab)]}
 	}
 	return out
 }

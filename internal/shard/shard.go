@@ -367,16 +367,7 @@ func (e *Engine) view() (*snapshot, error) {
 	if s := e.snap.Load(); s != nil && s.epoch == cur {
 		return s, nil
 	}
-	lists := make([][]histogram.Bucket, 0, len(e.cells))
-	for i := range e.cells {
-		c := &e.cells[i]
-		c.mu.Lock()
-		bs := c.m.Buckets()
-		c.mu.Unlock()
-		if histogram.TotalCount(bs) > 0 {
-			lists = append(lists, bs)
-		}
-	}
+	lists := e.ShardBuckets()
 	var merged []histogram.Bucket
 	var err error
 	if len(lists) > 0 {
@@ -404,6 +395,27 @@ func (e *Engine) view() (*snapshot, error) {
 	e.snap.Store(s)
 	e.merges.Add(1)
 	return s, nil
+}
+
+// ShardBuckets returns the bucket list of every shard that holds mass,
+// in shard order, each read under its own shard's lock. These are the
+// lists the merged view superposes; a caller that superposes several
+// engines' lists in one pass gets the same union without any engine
+// merging first (§8 superposition is associative). Like Total, the
+// lists need not correspond to one global instant under concurrent
+// writes.
+func (e *Engine) ShardBuckets() [][]histogram.Bucket {
+	lists := make([][]histogram.Bucket, 0, len(e.cells))
+	for i := range e.cells {
+		c := &e.cells[i]
+		c.mu.Lock()
+		bs := c.m.Buckets()
+		c.mu.Unlock()
+		if histogram.TotalCount(bs) > 0 {
+			lists = append(lists, bs)
+		}
+	}
+	return lists
 }
 
 // View pins the current merged state as an immutable histogram.View:

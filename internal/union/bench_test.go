@@ -3,6 +3,7 @@ package union
 import (
 	"testing"
 
+	"dynahist/internal/distgen"
 	"dynahist/internal/histogram"
 )
 
@@ -41,6 +42,25 @@ func BenchmarkReduce(b *testing.B) {
 	b.ResetTimer()
 	for b.Loop() {
 		if _, err := Reduce(u, 32); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReduceFanout reduces what a two-site fanout read reduces:
+// the union of 8 DADO shards at 1 KB each over 200k points of the
+// reference data set, brought down to 256 buckets.
+func BenchmarkReduceFanout(b *testing.B) {
+	cfg := distgen.Reference(1)
+	cfg.Points = 200_000
+	u, err := Superpose(shardLists(b, shardFamilies[0].new, cfg, 8)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		if _, err := Reduce(u, 256); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,12 +45,12 @@ func stripeHash(x uint64) uint64 {
 	return x
 }
 
-// shardLists feeds distgen.Reference(seed), shuffled, into `shards`
+// shardLists feeds the data set cfg generates, shuffled, into `shards`
 // fresh members striped by value hash, and returns the non-empty
 // members' bucket lists — what a shard engine's merge superposes.
-func shardLists(tb testing.TB, newMember func() (shardMember, error), seed int64, shards int) [][]histogram.Bucket {
+func shardLists(tb testing.TB, newMember func() (shardMember, error), cfg distgen.Config, shards int) [][]histogram.Bucket {
 	tb.Helper()
-	values, err := distgen.Generate(distgen.Reference(seed))
+	values, err := distgen.Generate(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func shardLists(tb testing.TB, newMember func() (shardMember, error), seed int64
 			tb.Fatal(err)
 		}
 	}
-	for _, v := range distgen.Shuffled(values, seed) {
+	for _, v := range distgen.Shuffled(values, cfg.Seed) {
 		f := float64(v)
 		if err := members[stripeHash(math.Float64bits(f))%uint64(shards)].Insert(f); err != nil {
 			tb.Fatal(err)
@@ -160,7 +160,7 @@ func TestSuperposeMatchesReferenceOnShards(t *testing.T) {
 	for _, fam := range shardFamilies {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", fam.name, seed), func(t *testing.T) {
-				checkSuperposeMatchesRef(t, shardLists(t, fam.new, seed, 4)...)
+				checkSuperposeMatchesRef(t, shardLists(t, fam.new, distgen.Reference(seed), 4)...)
 			})
 		}
 	}
@@ -173,7 +173,7 @@ func TestSuperposeMatchesReferenceOnSites(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			var sites [][]histogram.Bucket
 			for seed := int64(1); seed <= 2; seed++ {
-				merged, err := Superpose(shardLists(t, fam.new, seed, 4)...)
+				merged, err := Superpose(shardLists(t, fam.new, distgen.Reference(seed), 4)...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,13 +226,13 @@ func FuzzSuperpose(f *testing.F) {
 		f.Add(args[0], args[1], args[2], args[3])
 	}
 	for _, fam := range shardFamilies {
-		shards := shardLists(f, fam.new, 1, 4)
+		shards := shardLists(f, fam.new, distgen.Reference(1), 4)
 		add(shards...)
 		merged, err := Superpose(shards...)
 		if err != nil {
 			f.Fatal(err)
 		}
-		other, err := Superpose(shardLists(f, fam.new, 2, 4)...)
+		other, err := Superpose(shardLists(f, fam.new, distgen.Reference(2), 4)...)
 		if err != nil {
 			f.Fatal(err)
 		}

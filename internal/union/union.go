@@ -7,7 +7,6 @@ package union
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -228,14 +227,14 @@ func Reduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 	}
 	groups[d-1].next = -1
 
-	h := &groupHeap{}
-	heap.Init(h)
+	// Each merge pushes at most two entries, and at most d−n merges run.
+	h := make(groupHeap, 0, (d-1)+2*(d-n))
 	for i := 0; i+1 < d; i++ {
-		heap.Push(h, groupEntry{cost: mergedGroupCost(&groups[i], &groups[i+1]), left: i})
+		h.push(groupEntry{cost: mergedGroupCost(&groups[i], &groups[i+1]), left: i})
 	}
 	alive := d
-	for alive > n && h.Len() > 0 {
-		e := heap.Pop(h).(groupEntry)
+	for alive > n && len(h) > 0 {
+		e := h.pop()
 		l := e.left
 		if !groups[l].alive || groups[l].version != e.lv {
 			continue
@@ -255,23 +254,26 @@ func Reduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 		}
 		alive--
 		if p := groups[l].prev; p >= 0 {
-			heap.Push(h, groupEntry{
+			h.push(groupEntry{
 				cost: mergedGroupCost(&groups[p], &groups[l]),
 				left: p, lv: groups[p].version, rv: groups[l].version,
 			})
 		}
 		if nx := groups[l].next; nx >= 0 {
-			heap.Push(h, groupEntry{
+			h.push(groupEntry{
 				cost: mergedGroupCost(&groups[l], &groups[nx]),
 				left: l, lv: groups[l].version, rv: groups[nx].version,
 			})
 		}
 	}
 
-	out := make([]histogram.Bucket, 0, n)
+	out := make([]histogram.Bucket, 0, alive)
+	slab := make([]float64, alive) // one counter per output bucket
 	for i := 0; i >= 0; i = groups[i].next {
 		g := &groups[i]
-		out = append(out, histogram.Bucket{Left: g.left, Right: g.right, Subs: []float64{g.mass}})
+		k := len(out)
+		slab[k] = g.mass
+		out = append(out, histogram.Bucket{Left: g.left, Right: g.right, Subs: slab[k : k+1 : k+1]})
 	}
 	return out, nil
 }
@@ -309,18 +311,50 @@ type groupEntry struct {
 	lv, rv int
 }
 
+// groupHeap is a binary min-heap on cost. push and pop move entries
+// exactly as container/heap's up and down do — the same strict < and
+// the same child choice — so ties among equal costs pop in the same
+// order and Reduce's output does not depend on the heap's
+// implementation. Stale entries are left in place and skipped on pop.
 type groupHeap []groupEntry
 
-func (h groupHeap) Len() int           { return len(h) }
-func (h groupHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
-func (h groupHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *groupHeap) Push(x any)        { *h = append(*h, x.(groupEntry)) }
-func (h *groupHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *groupHeap) push(e groupEntry) {
+	s := append(*h, e)
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(e.cost < s[i].cost) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = e
+	*h = s
+}
+
+func (h *groupHeap) pop() groupEntry {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0], s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].cost < s[j].cost {
+			j = j2
+		}
+		if !(s[j].cost < x.cost) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = x
+	*h = s[:n]
+	return top
 }
 
 // CDFOf returns the normalised CDF of a bucket list.
