@@ -22,6 +22,7 @@ import (
 	"dynahist"
 	"dynahist/internal/distgen"
 	"dynahist/internal/server"
+	"dynahist/internal/tuner"
 	"dynahist/internal/wal"
 	"dynahist/internal/wire"
 )
@@ -61,6 +62,7 @@ var benchSuite = []struct {
 	{"sharded_total_after_write", benchShardedAfterWrite(false)},
 	{"sharded_view_after_write", benchShardedAfterWrite(true)},
 	{"fanout_describe_2_sites", benchFanoutDescribe},
+	{"tuned_view_after_write", benchTunedViewAfterWrite},
 }
 
 func benchDADOInsertBatch(b *testing.B) {
@@ -140,6 +142,30 @@ func benchShardedInsertBatch(b *testing.B) {
 	}
 }
 
+// referenceSharded returns a 4-shard DADO (1 KB per shard) preloaded
+// with the paper's reference data, and that data, shuffled, as the
+// value stream later writes replay.
+func referenceSharded(b *testing.B) (*dynahist.Sharded, []float64) {
+	ints, err := distgen.Generate(distgen.Reference(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	vs := make([]float64, len(ints))
+	for i, v := range distgen.Shuffled(ints, 1) {
+		vs[i] = float64(v)
+	}
+	h, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
+		return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
+	}, dynahist.WithShards(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := h.InsertBatch(vs); err != nil {
+		b.Fatal(err)
+	}
+	return h, vs
+}
+
 // benchShardedAfterWrite measures a 256-value InsertBatch followed by
 // one read — Total, or View when view is set — on a 4-shard DADO (1 KB
 // per shard) preloaded with the paper's reference data. The pair of
@@ -147,23 +173,7 @@ func benchShardedInsertBatch(b *testing.B) {
 // View after a write must superpose every shard's buckets again.
 func benchShardedAfterWrite(view bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		ints, err := distgen.Generate(distgen.Reference(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		vs := make([]float64, len(ints))
-		for i, v := range distgen.Shuffled(ints, 1) {
-			vs[i] = float64(v)
-		}
-		h, err := dynahist.NewSharded(func() (dynahist.Histogram, error) {
-			return dynahist.New(dynahist.KindDADO, dynahist.WithMemory(1024))
-		}, dynahist.WithShards(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := h.InsertBatch(vs); err != nil {
-			b.Fatal(err)
-		}
+		h, vs := referenceSharded(b)
 		const batch = 256
 		b.ReportAllocs()
 		for off := 0; b.Loop(); off = (off + batch) % (len(vs) - batch) {
@@ -175,6 +185,56 @@ func benchShardedAfterWrite(view bool) func(b *testing.B) {
 			} else if _, err := h.View(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// benchTunedViewAfterWrite measures the read a feedback-tuned entry
+// pays right after a write: a 512-value InsertBatch on a 4-shard DADO
+// (1 KB per shard) preloaded with the paper's reference data, then the
+// merged View and the overlay build the server's tuned read runs on it
+// — the view flattened to a Store, an 8-record feedback journal
+// replayed, and the Store wrapped back as a servable view.
+func benchTunedViewAfterWrite(b *testing.B) {
+	h, vs := referenceSharded(b)
+	// The journal: eight ranges observed exactly against the data.
+	v, err := h.View()
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := tuner.New(tuner.Config{})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		lo := float64(rng.Intn(4500))
+		hi := lo + float64(10+rng.Intn(490))
+		obs := 0.0
+		for _, x := range vs {
+			if x >= lo && x <= hi {
+				obs++
+			}
+		}
+		rec := tuner.Record{Lo: lo, Hi: hi, Estimated: v.EstimateRange(lo, hi), Observed: obs}
+		if err := t.Observe(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const batch = 512
+	b.ReportAllocs()
+	for off := 0; b.Loop(); off = (off + batch) % (len(vs) - batch) {
+		if err := h.InsertBatch(vs[off : off+batch]); err != nil {
+			b.Fatal(err)
+		}
+		v, err := h.View()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := tuner.StoreOfView(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t.ApplyTo(st)
+		if _, err := tuner.ViewOfStore(st); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

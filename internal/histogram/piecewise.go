@@ -18,16 +18,37 @@ import (
 type Piecewise struct {
 	buckets []Bucket
 	total   float64
+	// pinned is set while a View aliases buckets: the next write then
+	// works on a copy (copy-on-write), so the view never changes.
+	pinned bool
 }
 
-// NewPiecewise wraps a bucket list. The list is validated and deep
-// copied; the histogram owns its copy.
+// NewPiecewise validates a bucket list and wraps it, taking ownership:
+// the caller must not modify buckets (or any Subs slice inside it)
+// afterwards.
 func NewPiecewise(buckets []Bucket) (*Piecewise, error) {
 	if err := Validate(buckets); err != nil {
 		return nil, err
 	}
-	cp := CloneBuckets(buckets)
-	return &Piecewise{buckets: cp, total: TotalCount(cp)}, nil
+	return &Piecewise{buckets: buckets, total: TotalCount(buckets)}, nil
+}
+
+// View pins the current state without copying it: the view aliases the
+// bucket list, and the next Insert or Delete clones the list before it
+// writes. The list was validated when the histogram was built and
+// writes only move counts between non-negative counters, so the pin
+// does not validate it again.
+func (p *Piecewise) View() *View {
+	p.pinned = true
+	return viewOwned(p.buckets, p.total)
+}
+
+// unpin gives the histogram a private copy of a list a View aliases.
+func (p *Piecewise) unpin() {
+	if p.pinned {
+		p.buckets = CloneBuckets(p.buckets)
+		p.pinned = false
+	}
 }
 
 // CloneBuckets deep-copies a bucket list. The Subs slices of the copy
@@ -93,6 +114,7 @@ func (p *Piecewise) Insert(v float64) error {
 	if i < 0 {
 		return fmt.Errorf("histogram: %w: insert into bucketless piecewise histogram", histerr.ErrEmpty)
 	}
+	p.unpin()
 	b := &p.buckets[i]
 	x := v
 	if !b.Contains(x) {
@@ -123,6 +145,7 @@ func (p *Piecewise) Delete(v float64) error {
 	if i < 0 {
 		return fmt.Errorf("histogram: %w: delete from bucketless piecewise histogram", histerr.ErrEmpty)
 	}
+	p.unpin()
 	if !p.decrementAt(i, v) {
 		bs := BucketList(p.buckets)
 		if j := NearestPositive(bs, v); j >= 0 {

@@ -3,6 +3,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Store is the flat bucket arena every maintained histogram in this
@@ -44,9 +45,13 @@ type Store struct {
 	// later, so Find starts its scan there instead of binary-searching.
 	// A random value stream defeats the branch predictor on a binary
 	// search (one mispredict per level); the grid costs one multiply
-	// and a short, usually zero-step scan. Borders change only on the
-	// rare split/merge/insert paths, so the index is rebuilt lazily:
-	// any border mutation clears gridOK and the next Find rebuilds.
+	// and a short, usually zero-step scan. The index is rebuilt lazily:
+	// any border mutation clears gridOK and the next Find rebuilds, an
+	// O(n) pass. That pays off on the ingest paths, where borders move
+	// only on the rare split/merge/insert steps between many Finds. The
+	// feedback tuner, which moves a border on almost every record it
+	// replays, locates buckets by binary search instead and never
+	// triggers a rebuild.
 	grid    []int32
 	gridLo  float64
 	gridInv float64
@@ -68,27 +73,39 @@ func StoreOfBuckets(buckets []Bucket, k int) (*Store, error) {
 	if err := Validate(buckets); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		k:       k,
-		borders: make([]float64, 0, 2*len(buckets)),
-		subs:    make([]float64, 0, k*len(buckets)),
-		counts:  make([]float64, 0, len(buckets)),
-	}
+	s := &Store{k: k}
+	s.Grow(len(buckets))
 	for i := range buckets {
 		b := &buckets[i]
 		if len(b.Subs) != k {
 			return nil, fmt.Errorf("%w: bucket %d has %d sub-buckets, store wants %d",
 				ErrInvalid, i, len(b.Subs), k)
 		}
-		s.borders = append(s.borders, b.Left, b.Right)
-		s.subs = append(s.subs, b.Subs...)
-		c := 0.0
-		for _, v := range b.Subs {
-			c += v
-		}
-		s.counts = append(s.counts, c)
+		s.Append(b.Left, b.Right, b.Subs)
 	}
 	return s, nil
+}
+
+// Grow makes room for n more buckets, so the next n Appends do not
+// allocate.
+func (s *Store) Grow(n int) {
+	s.borders = slices.Grow(s.borders, 2*n)
+	s.subs = slices.Grow(s.subs, s.k*n)
+	s.counts = slices.Grow(s.counts, n)
+}
+
+// Append adds the bucket [left, right) with the counters row (len(row)
+// must be K) after the last bucket. The caller keeps the list sorted
+// and non-overlapping.
+func (s *Store) Append(left, right float64, row []float64) {
+	s.borders = append(s.borders, left, right)
+	s.subs = append(s.subs, row...)
+	c := 0.0
+	for _, v := range row {
+		c += v
+	}
+	s.counts = append(s.counts, c)
+	s.gridOK = false
 }
 
 // K returns the number of sub-bucket counters per bucket.

@@ -38,13 +38,18 @@ func NewView(buckets []Bucket, total float64) (*View, error) {
 	if err := Validate(buckets); err != nil {
 		return nil, err
 	}
+	return viewOwned(buckets, total), nil
+}
+
+// viewOwned is NewView for a list already known to be valid.
+func viewOwned(buckets []Bucket, total float64) *View {
 	prefix := make([]float64, len(buckets)+1)
 	acc := 0.0
 	for i := range buckets {
 		acc += buckets[i].Count()
 		prefix[i+1] = acc
 	}
-	return &View{buckets: buckets, prefix: prefix, total: total}, nil
+	return &View{buckets: buckets, prefix: prefix, total: total}
 }
 
 // ViewOfStore pins a snapshot of a flat bucket arena as a View. The

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"dynahist/internal/histerr"
@@ -181,27 +182,20 @@ func adjust(st *histogram.Store, rec Record, cfg Config) {
 	if math.Abs(errv) <= 1e-9*(1+rec.Observed) {
 		return
 	}
+	// The buckets the predicate overlaps are one run: the first bucket
+	// ending past lo up to the last one starting before hi.
 	n := st.Len()
-	first, last := -1, -1
+	first := endingAfter(st, lo)
+	end := first
 	sumContM, sumContW, sumAllM, sumAllW := 0.0, 0.0, 0.0, 0.0
-	for i := 0; i < n; i++ {
-		if st.Right(i) <= lo {
-			continue
-		}
-		if st.Left(i) >= hi {
-			break
-		}
-		if first < 0 {
-			first = i
-		}
-		last = i
-		m, w := containedSpan(st, i, lo, hi)
+	for ; end < n && st.Left(end) < hi; end++ {
+		m, w := containedSpan(st, end, lo, hi)
 		sumContM += m
 		sumContW += w
-		sumAllM += st.Mass(i, lo, hi)
-		sumAllW += math.Min(st.Right(i), hi) - math.Max(st.Left(i), lo)
+		sumAllM += st.Mass(end, lo, hi)
+		sumAllW += min(st.Right(end), hi) - max(st.Left(end), lo)
 	}
-	if first < 0 {
+	if end == first {
 		// The predicate lies outside every bucket (or in a gap): there
 		// is no overlay state to correct, so the record is a no-op.
 		return
@@ -227,7 +221,7 @@ func adjust(st *histogram.Store, rec Record, cfg Config) {
 		return
 	}
 	delta := cfg.Alpha * errv
-	for i := first; i <= last; i++ {
+	for i := first; i < end; i++ {
 		var w float64
 		switch {
 		case containedOnly && useMass:
@@ -237,7 +231,7 @@ func adjust(st *histogram.Store, rec Record, cfg Config) {
 		case useMass:
 			w = st.Mass(i, lo, hi)
 		default:
-			w = math.Min(st.Right(i), hi) - math.Max(st.Left(i), lo)
+			w = min(st.Right(i), hi) - max(st.Left(i), lo)
 		}
 		if share := delta * w / sumw; share != 0 {
 			applyShare(st, i, lo, hi, share, containedOnly, cfg)
@@ -245,6 +239,18 @@ func adjust(st *histogram.Store, rec Record, cfg Config) {
 	}
 	nudgeBorder(st, lo, cfg)
 	nudgeBorder(st, hi, cfg)
+}
+
+// endingAfter returns the first bucket whose right border exceeds x,
+// or st.Len() when none does — where a scan from bucket 0 would stop,
+// and the bucket Store.Find reports when it contains x. Right borders
+// are sorted (Validate's 1e-9 overlap tolerance cannot reorder those of
+// buckets wider than it, and rebinPair keeps a moved border between
+// its neighbours), so a binary search finds it. Find would do as well
+// only after rebuilding its grid index, which every border move the
+// replay makes invalidates.
+func endingAfter(st *histogram.Store, x float64) int {
+	return sort.Search(st.Len(), func(i int) bool { return st.Right(i) > x })
 }
 
 // containedSpan returns the mass and total width of bucket i's
@@ -256,7 +262,7 @@ func containedSpan(st *histogram.Store, i int, lo, hi float64) (m, w float64) {
 	row := st.Row(i)
 	for j := 0; j < k; j++ {
 		slo := left + float64(j)*subW
-		if ow := math.Min(slo+subW, hi) - math.Max(slo, lo); ow >= subW-1e-9*(1+subW) {
+		if ow := min(slo+subW, hi) - max(slo, lo); ow >= subW-1e-9*(1+subW) {
 			m += row[j]
 			w += subW
 		}
@@ -286,7 +292,7 @@ func applyShare(st *histogram.Store, i int, lo, hi, share float64, containedOnly
 	row := st.Row(i)
 	candidateW := func(j int) float64 {
 		slo := left + float64(j)*subW
-		ow := math.Min(slo+subW, hi) - math.Max(slo, lo)
+		ow := min(slo+subW, hi) - max(slo, lo)
 		if ow <= 0 || (containedOnly && ow < subW-1e-9*(1+subW)) {
 			return 0
 		}
@@ -335,8 +341,8 @@ func applyShare(st *histogram.Store, i int, lo, hi, share float64, containedOnly
 // uniform assumption — and a border facing a gap stays put, because
 // moving it would manufacture or discard coverage.
 func nudgeBorder(st *histogram.Store, b float64, cfg Config) {
-	i := st.Find(b)
-	if i < 0 {
+	i := endingAfter(st, b)
+	if i == st.Len() {
 		return
 	}
 	left, right := st.Left(i), st.Right(i)
@@ -386,8 +392,12 @@ func rebinPair(st *histogram.Store, p, q int, nb float64) {
 	}
 	mid := st.Right(p) // == st.Left(q), the border being moved
 	k := st.K()
-	newP := make([]float64, k)
-	newQ := make([]float64, k)
+	var buf [8]float64 // the new rows stay on the stack up to K = 4
+	rows := buf[:]
+	if 2*k > len(buf) {
+		rows = make([]float64, 2*k)
+	}
+	newP, newQ := rows[:k], rows[k:2*k]
 	pw := (nb - pLeft) / float64(k)
 	qw := (qRight - nb) / float64(k)
 	for j := 0; j < k; j++ {

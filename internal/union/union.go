@@ -6,11 +6,9 @@
 package union
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"dynahist/internal/histogram"
 )
@@ -39,7 +37,7 @@ func Superpose(members ...[]histogram.Bucket) ([]histogram.Bucket, error) {
 			return nil, fmt.Errorf("union: invalid member: %w", err)
 		}
 	}
-	borders := dedupeBorders(collectBorders(members))
+	borders := collectBorders(members)
 	if len(borders) < 2 {
 		return nil, errors.New("union: members have no extent")
 	}
@@ -115,15 +113,26 @@ type border struct {
 	primary bool
 }
 
-// collectBorders returns every member's bucket edges and sub-bucket
-// borders, sorted, with exact duplicates collapsed into one border
-// that is primary if any copy is. Sub-bucket borders carry information
+// collectBorders returns the union's borders: every member's bucket
+// edges and sub-bucket borders, sorted, with exact duplicates collapsed
+// into one border that is primary if any copy is, and near-duplicates
+// then coalesced by borderDedupe. Sub-bucket borders carry information
 // too; keeping them keeps the superposition lossless for DVO/DADO
-// members. The stable sort keeps the emission order within a run of
-// equal values, and the run takes its last copy's bits — which only
-// matters for ±0, and makes the union's choice between them the same
-// as a set that each later copy overwrites.
-func collectBorders(members [][]histogram.Bucket) []border {
+// members.
+//
+// The order is that of one global stable sort of the borders in
+// emission order (member by member, each bucket's Left, Right, then its
+// sub-borders), taken in two steps. Each member's run is nearly sorted
+// already — only a bucket's sub-borders trail its Right, and
+// Validate's ≤1e-9 overlaps may put a border behind its predecessor's —
+// so a stable insertion sort per member costs little; a k-way merge of
+// the sorted runs that breaks ties toward the lower member then yields
+// exactly the global stable order. Within a run of equal values the
+// collapsed border takes its last copy's bits — which only matters for
+// ±0, and makes the union's choice between them the same as a set that
+// each later copy overwrites. The merge feeds the deduplication as it
+// goes, so no merged copy of the borders is ever stored.
+func collectBorders(members [][]histogram.Bucket) []float64 {
 	n := 0
 	for _, m := range members {
 		for i := range m {
@@ -131,7 +140,10 @@ func collectBorders(members [][]histogram.Bucket) []border {
 		}
 	}
 	bs := make([]border, 0, n)
-	for _, m := range members {
+	// runs[m] is member m's unmerged rest: bs[runs[m].next:runs[m].end].
+	runs := make([]struct{ next, end int }, len(members))
+	for r, m := range members {
+		start := len(bs)
 		for i := range m {
 			bs = append(bs, border{m[i].Left, true}, border{m[i].Right, true})
 			k := len(m[i].Subs)
@@ -139,17 +151,50 @@ func collectBorders(members [][]histogram.Bucket) []border {
 				bs = append(bs, border{m[i].Left + m[i].Width()*float64(j)/float64(k), false})
 			}
 		}
+		insertionSort(bs[start:])
+		runs[r].next, runs[r].end = start, len(bs)
 	}
-	slices.SortStableFunc(bs, func(a, b border) int { return cmp.Compare(a.v, b.v) })
-	out := bs[:0]
-	for _, b := range bs {
-		if last := len(out) - 1; last >= 0 && out[last].v == b.v {
-			out[last] = border{b.v, out[last].primary || b.primary}
-			continue
+	d := borderDedupe{out: make([]float64, 0, n)}
+	var cur border // the run of equal values being collapsed
+	for first := true; ; {
+		best := -1
+		for r := range runs {
+			if runs[r].next < runs[r].end && (best < 0 || bs[runs[r].next].v < bs[runs[best].next].v) {
+				best = r
+			}
 		}
-		out = append(out, b)
+		if best < 0 {
+			break
+		}
+		b := bs[runs[best].next]
+		runs[best].next++
+		switch {
+		case first:
+			first = false
+		case cur.v == b.v:
+			b.primary = b.primary || cur.primary
+		default:
+			d.add(cur)
+		}
+		cur = b
 	}
-	return out
+	if len(bs) > 0 {
+		d.add(cur)
+	}
+	return d.borders()
+}
+
+// insertionSort sorts bs by value, stably: an element moves left only
+// past strictly greater ones.
+func insertionSort(bs []border) {
+	for i := 1; i < len(bs); i++ {
+		b := bs[i]
+		j := i
+		for ; j > 0 && bs[j-1].v > b.v; j-- {
+			bs[j] = bs[j-1]
+		}
+		bs[j] = b
+	}
 }
 
 // borderEps is the relative tolerance under which two borders are the
@@ -161,32 +206,41 @@ func collectBorders(members [][]histogram.Bucket) []border {
 // below any genuine sub-bucket width (≥ 1/k of a real bucket).
 const borderEps = 1e-12
 
-// dedupeBorders coalesces runs of near-equal sorted, distinct borders
-// into one representative each, preferring a primary (actual bucket
-// edge) value over a recomputed sub-border. Runs are anchored at their
-// first element: b joins the run of anchor a when
+// borderDedupe coalesces a stream of sorted, distinct borders into one
+// representative per run of near-equal borders, preferring a primary
+// (actual bucket edge) value over a recomputed sub-border. Runs are
+// anchored at their first border: b joins the run of anchor a when
 // b−a ≤ borderEps·scale(a,b).
-func dedupeBorders(borders []border) []float64 {
-	out := make([]float64, 0, len(borders))
-	for i := 0; i < len(borders); {
-		anchor := borders[i].v
-		rep, haveRep := anchor, borders[i].primary
-		j := i + 1
-		for j < len(borders) {
-			b := borders[j].v
-			scale := math.Max(math.Abs(anchor), math.Abs(b))
-			if b-anchor > borderEps*scale {
-				break
+type borderDedupe struct {
+	out    []float64
+	anchor float64 // the open run's first border
+	rep    float64 // its representative so far
+	// haveRep is set once rep is a primary border; open while a run is.
+	haveRep, open bool
+}
+
+// add feeds the next border, which must not sort before the last one.
+func (d *borderDedupe) add(b border) {
+	if d.open {
+		scale := math.Max(math.Abs(d.anchor), math.Abs(b.v))
+		if b.v-d.anchor <= borderEps*scale {
+			if !d.haveRep && b.primary {
+				d.rep, d.haveRep = b.v, true
 			}
-			if !haveRep && borders[j].primary {
-				rep, haveRep = b, true
-			}
-			j++
+			return
 		}
-		out = append(out, rep)
-		i = j
+		d.out = append(d.out, d.rep)
 	}
-	return out
+	d.anchor, d.rep, d.haveRep, d.open = b.v, b.v, b.primary, true
+}
+
+// borders closes the open run and returns the representatives.
+func (d *borderDedupe) borders() []float64 {
+	if d.open {
+		d.out = append(d.out, d.rep)
+		d.open = false
+	}
+	return d.out
 }
 
 // Reduce merges the bucket list down to at most n buckets by repeatedly

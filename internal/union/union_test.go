@@ -313,6 +313,16 @@ func TestSuperposeDedupesULPBorders(t *testing.T) {
 	}
 }
 
+// dedupeBorders runs a sorted list of distinct borders through
+// borderDedupe.
+func dedupeBorders(bs []border) []float64 {
+	var d borderDedupe
+	for _, b := range bs {
+		d.add(b)
+	}
+	return d.borders()
+}
+
 func TestDedupeBordersPrefersPrimary(t *testing.T) {
 	a := 1000.0
 	b := math.Nextafter(a, 2000)

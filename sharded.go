@@ -76,7 +76,17 @@ type memberAdapter struct {
 func (m memberAdapter) Insert(v float64) error { return m.h.Insert(v) }
 func (m memberAdapter) Delete(v float64) error { return m.h.Delete(v) }
 func (m memberAdapter) Total() float64         { return m.h.Total() }
+
+// Buckets hands a *Dynamic or *DC shard's own fresh bucket copy to the
+// merge as it is, instead of converting it to the public form and
+// straight back; other histograms go through their Buckets.
 func (m memberAdapter) Buckets() []histogram.Bucket {
+	switch h := m.h.(type) {
+	case *Dynamic:
+		return h.inner.Buckets()
+	case *DC:
+		return h.inner.Buckets()
+	}
 	return toInternal(m.h.Buckets())
 }
 

@@ -36,7 +36,8 @@ type Static struct {
 }
 
 // NewStaticFromBuckets wraps an explicit bucket list (for example one
-// produced by UnmarshalBuckets or Superpose) as a histogram.
+// produced by UnmarshalBuckets or Superpose) as a histogram. The
+// histogram keeps its own copy: later edits to buckets change nothing.
 func NewStaticFromBuckets(buckets []Bucket) (*Static, error) {
 	p, err := histogram.NewPiecewise(toInternal(buckets))
 	if err != nil {
@@ -78,13 +79,11 @@ func (h *Static) Delete(v float64) error { h.rv = nil; return h.inner.Delete(v) 
 func (h *Static) Total() float64 { return h.inner.Total() }
 
 // View pins the current state as an immutable snapshot; see Estimator.
+// The pin copies nothing: the view shares the bucket list, and the next
+// Insert or Delete writes to a fresh copy of it.
 func (h *Static) View() (*View, error) {
 	if h.rv == nil {
-		v, err := newViewOwned(h.inner.Buckets(), h.inner.Total())
-		if err != nil {
-			return nil, err
-		}
-		h.rv = v
+		h.rv = &View{v: h.inner.View()}
 	}
 	return h.rv, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +181,59 @@ func TestViewPinnedIsImmutable(t *testing.T) {
 		}
 		if v2.Total() <= total {
 			t.Errorf("%s: fresh view total %v not above pinned %v", name, v2.Total(), total)
+		}
+	}
+}
+
+// TestStaticViewCopyOnWrite checks the copy-on-write pin of a Static:
+// the view shares the histogram's bucket list until the next write, so
+// neither an Insert nor a Delete after the pin may reach the view, and
+// the histogram's list is its own — editing the caller's []Bucket after
+// NewStaticFromBuckets changes nothing.
+func TestStaticViewCopyOnWrite(t *testing.T) {
+	in := []dynahist.Bucket{
+		{Left: 0, Right: 10, Counters: []float64{4, 6}},
+		{Left: 10, Right: 20, Counters: []float64{5, 5}},
+		{Left: 30, Right: 40, Counters: []float64{2, 8}},
+	}
+	h, err := dynahist.NewStaticFromBuckets(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := h.Buckets()
+	in[0].Counters[0], in[1].Left, in[2] = 1000, 9, dynahist.Bucket{Left: 50, Right: 60, Counters: []float64{1, 1}}
+	if got := h.Buckets(); !reflect.DeepEqual(got, want) || h.Total() != 30 {
+		t.Fatalf("editing the caller's buckets reached the histogram: %+v, total %v", got, h.Total())
+	}
+
+	for _, write := range []struct {
+		name string
+		do   func() error
+	}{
+		{"delete", func() error { return h.Delete(5) }},
+		{"insert", func() error { return h.Insert(35) }},
+		{"delete-spill", func() error { return h.Delete(25) }},
+	} {
+		v, err := h.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned, total, cdf := v.Buckets(), v.Total(), v.CDF(15)
+		if err := write.do(); err != nil {
+			t.Fatalf("%s: %v", write.name, err)
+		}
+		if !reflect.DeepEqual(v.Buckets(), pinned) || v.Total() != total || v.CDF(15) != cdf {
+			t.Errorf("%s after the pin moved the view: %+v, total %v", write.name, v.Buckets(), v.Total())
+		}
+		fresh, err := h.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(fresh.Buckets(), pinned) {
+			t.Errorf("%s: a fresh pin does not see the write", write.name)
+		}
+		if !reflect.DeepEqual(fresh.Buckets(), h.Buckets()) || fresh.Total() != h.Total() {
+			t.Errorf("%s: fresh pin %+v differs from the histogram %+v", write.name, fresh.Buckets(), h.Buckets())
 		}
 	}
 }
