@@ -47,13 +47,42 @@ func BenchmarkReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkReduceFanout reduces what a two-site fanout read reduces:
-// the union of 8 DADO shards at 1 KB each over 200k points of the
-// reference data set, brought down to 256 buckets.
-func BenchmarkReduceFanout(b *testing.B) {
+// fanoutLists returns the shard lists a two-site fanout read
+// superposes: 8 DADO shards at 1 KB each over 200k points of the
+// reference data set.
+func fanoutLists(tb testing.TB) [][]histogram.Bucket {
+	tb.Helper()
 	cfg := distgen.Reference(1)
 	cfg.Points = 200_000
-	u, err := Superpose(shardLists(b, shardFamilies[0].new, cfg, 8)...)
+	return shardLists(tb, shardFamilies[0].new, cfg, 8)
+}
+
+// BenchmarkSuperposeFanout superposes what a two-site fanout read
+// superposes.
+func BenchmarkSuperposeFanout(b *testing.B) {
+	benchSuperpose(b, fanoutLists(b))
+}
+
+// BenchmarkSuperposeShards4 superposes what a sharded merge does: 4
+// DADO shards at 1 KB each over the reference data set.
+func BenchmarkSuperposeShards4(b *testing.B) {
+	benchSuperpose(b, shardLists(b, shardFamilies[0].new, distgen.Reference(1), 4))
+}
+
+func benchSuperpose(b *testing.B, members [][]histogram.Bucket) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		if _, err := Superpose(members...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReduceFanout reduces what a two-site fanout read reduces:
+// the union of fanoutLists, brought down to 256 buckets.
+func BenchmarkReduceFanout(b *testing.B) {
+	u, err := Superpose(fanoutLists(b)...)
 	if err != nil {
 		b.Fatal(err)
 	}

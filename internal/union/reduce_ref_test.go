@@ -7,10 +7,11 @@ import (
 	"dynahist/internal/histogram"
 )
 
-// refReduce is the container/heap loop that Reduce's typed heap
+// refReduce is the container/heap loop that Reduce's split-array heap
 // replaced, kept as the reference Reduce is checked against bit for
-// bit: every groupEntry is boxed through heap.Push/heap.Pop, and every
-// output bucket gets its own one-counter slice.
+// bit: every refGroupEntry is boxed through heap.Push/heap.Pop, an
+// entry is current while both groups' versions match the ones it was
+// pushed with, and every output bucket gets its own one-counter slice.
 func refReduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 	if n < 1 {
 		return nil, errors.New("union: reduce budget < 1")
@@ -23,10 +24,10 @@ func refReduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 		return histogram.CloneBuckets(buckets), nil
 	}
 
-	groups := make([]group, d)
+	groups := make([]refGroup, d)
 	for i := range buckets {
 		b := &buckets[i]
-		g := group{left: b.Left, right: b.Right, prev: i - 1, next: i + 1, alive: true}
+		g := refGroup{left: b.Left, right: b.Right, prev: i - 1, next: i + 1, alive: true}
 		k := len(b.Subs)
 		subW := b.Width() / float64(k)
 		for _, c := range b.Subs {
@@ -43,11 +44,11 @@ func refReduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 	h := &refGroupHeap{}
 	heap.Init(h)
 	for i := 0; i+1 < d; i++ {
-		heap.Push(h, groupEntry{cost: mergedGroupCost(&groups[i], &groups[i+1]), left: i})
+		heap.Push(h, refGroupEntry{cost: refMergedGroupCost(&groups[i], &groups[i+1]), left: i})
 	}
 	alive := d
 	for alive > n && h.Len() > 0 {
-		e := heap.Pop(h).(groupEntry)
+		e := heap.Pop(h).(refGroupEntry)
 		l := e.left
 		if !groups[l].alive || groups[l].version != e.lv {
 			continue
@@ -67,14 +68,14 @@ func refReduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 		}
 		alive--
 		if p := groups[l].prev; p >= 0 {
-			heap.Push(h, groupEntry{
-				cost: mergedGroupCost(&groups[p], &groups[l]),
+			heap.Push(h, refGroupEntry{
+				cost: refMergedGroupCost(&groups[p], &groups[l]),
 				left: p, lv: groups[p].version, rv: groups[l].version,
 			})
 		}
 		if nx := groups[l].next; nx >= 0 {
-			heap.Push(h, groupEntry{
-				cost: mergedGroupCost(&groups[l], &groups[nx]),
+			heap.Push(h, refGroupEntry{
+				cost: refMergedGroupCost(&groups[l], &groups[nx]),
 				left: l, lv: groups[l].version, rv: groups[nx].version,
 			})
 		}
@@ -88,12 +89,43 @@ func refReduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 	return out, nil
 }
 
-type refGroupHeap []groupEntry
+// refGroup is a run of merged buckets, as Reduce's group was before
+// the per-pair stamp: an alive flag and a version bumped on each merge.
+type refGroup struct {
+	left, right float64
+	mass        float64
+	e2          float64
+	prev, next  int
+	version     int
+	alive       bool
+}
+
+// refMergedGroupCost is Σ len·(d − μ)² = e2 − W·μ² of the merged pair.
+func refMergedGroupCost(a, b *refGroup) float64 {
+	w := b.right - a.left
+	if w <= 0 {
+		return 0
+	}
+	mean := (a.mass + b.mass) / w
+	c := a.e2 + b.e2 - w*mean*mean
+	if c < 0 {
+		return 0
+	}
+	return c
+}
+
+type refGroupEntry struct {
+	cost   float64
+	left   int
+	lv, rv int
+}
+
+type refGroupHeap []refGroupEntry
 
 func (h refGroupHeap) Len() int           { return len(h) }
 func (h refGroupHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
 func (h refGroupHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refGroupHeap) Push(x any)        { *h = append(*h, x.(groupEntry)) }
+func (h *refGroupHeap) Push(x any)        { *h = append(*h, x.(refGroupEntry)) }
 func (h *refGroupHeap) Pop() any {
 	old := *h
 	n := len(old)

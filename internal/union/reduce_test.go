@@ -9,10 +9,10 @@ import (
 	"dynahist/internal/histogram"
 )
 
-// Reduce's typed heap must reproduce the container/heap reference bit
-// for bit: the same pop order among tied costs, so the same merges,
-// borders and counters. These tests compare the two with Float64bits
-// on every Left, Right and counter.
+// Reduce's split-array heap must reproduce the container/heap
+// reference bit for bit: the same pop order among tied costs, so the
+// same merges, borders and counters. These tests compare the two with
+// Float64bits on every Left, Right and counter.
 
 // randomReduceInput builds a valid bucket list of 1–40 buckets that
 // is heavy in cost ties: runs of equal width and equal density (whose
@@ -51,6 +51,59 @@ func randomReduceInput(rng *rand.Rand) []histogram.Bucket {
 			out = append(out, histogram.Bucket{Left: x, Right: x + w, Subs: subs})
 			x += w
 		}
+	}
+	return out
+}
+
+// overflowReduceInput builds 2–40 unit-width buckets, some with a
+// count of MaxFloat64/k for k = 1–4 and the rest with a small integer
+// count. Validate accepts such finite counts, but a group's mass or
+// Σ len·density² overflows to +Inf once a few of them merge, and the
+// merged cost Inf − Inf is NaN. NaN compares false both ways, so the
+// costs are no longer totally ordered, and only a heap that makes
+// container/heap's exact comparisons keeps the reference's merge order.
+func overflowReduceInput(rng *rand.Rand) []histogram.Bucket {
+	counts := make([]float64, 2+rng.Intn(39))
+	for i := range counts {
+		counts[i] = float64(rng.Intn(5))
+		if rng.Intn(3) == 0 {
+			counts[i] = math.MaxFloat64 / float64(1+rng.Intn(4))
+		}
+	}
+	return unitBuckets(counts)
+}
+
+// overflowReduceCase is a six-bucket overflowReduceInput on which a
+// pop that assumes totally ordered costs (sifting the hole to a leaf,
+// then the last entry back up) leaves the reference's merge order at
+// budget 2.
+func overflowReduceCase() []histogram.Bucket {
+	return unitBuckets([]float64{math.MaxFloat64 / 2, 4, math.MaxFloat64, 3, 2, 1})
+}
+
+// unitBuckets returns the buckets [i, i+1) with the given counts.
+func unitBuckets(counts []float64) []histogram.Bucket {
+	out := make([]histogram.Bucket, len(counts))
+	for i, c := range counts {
+		out[i] = histogram.Bucket{Left: float64(i), Right: float64(i + 1), Subs: []float64{c}}
+	}
+	return out
+}
+
+// ssbmReduceInput builds what static.SSBM reduces: the unit-width
+// singletons [v, v+1) of 50–300 distinct integers, some runs adjacent
+// and some apart, with counts 1–4, so that many merged costs tie and
+// the tie order decides the merges.
+func ssbmReduceInput(rng *rand.Rand) []histogram.Bucket {
+	d := 50 + rng.Intn(251)
+	out := make([]histogram.Bucket, d)
+	v := 0
+	for i := range out {
+		if rng.Intn(4) == 0 {
+			v += 1 + rng.Intn(3) // values absent from the data
+		}
+		out[i] = histogram.Bucket{Left: float64(v), Right: float64(v + 1), Subs: []float64{float64(1 + rng.Intn(4))}}
+		v++
 	}
 	return out
 }
@@ -101,6 +154,38 @@ func TestReduceMatchesRef(t *testing.T) {
 			checkReduceMatchesRef(t, bs, n)
 		}
 	})
+	t.Run("overflow", func(t *testing.T) {
+		bs := overflowReduceCase()
+		for n := 1; n <= len(bs); n++ {
+			checkReduceMatchesRef(t, bs, n)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for range 2000 {
+			bs := overflowReduceInput(rng)
+			for n := 1; n <= len(bs); n++ {
+				checkReduceMatchesRef(t, bs, n)
+			}
+		}
+	})
+	t.Run("ssbm", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		for range 20 {
+			bs := ssbmReduceInput(rng)
+			for n := 1; n <= len(bs); n++ {
+				checkReduceMatchesRef(t, bs, n)
+			}
+		}
+	})
+	t.Run("fanout", func(t *testing.T) {
+		// BenchmarkReduceFanout's union, at every budget.
+		u, err := Superpose(fanoutLists(t)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= len(u); n++ {
+			checkReduceMatchesRef(t, u, n)
+		}
+	})
 	for _, fam := range shardFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			u, err := Superpose(shardLists(t, fam.new, distgen.Reference(1), 4)...)
@@ -122,9 +207,10 @@ func TestReduceMatchesRef(t *testing.T) {
 
 // FuzzReduce feeds a serialized bucket list and a budget to both
 // implementations; inputs that do not decode to a bucket list are
-// skipped. The corpus is seeded with the random tie-heavy lists above;
-// the shard unions stay out of it, because building them under the
-// fuzzer's coverage instrumentation stalls every worker.
+// skipped. The corpus is seeded with the random tie-heavy lists above
+// and one list whose merged costs overflow to NaN; the shard unions
+// stay out of it, because building them under the fuzzer's coverage
+// instrumentation stalls every worker.
 func FuzzReduce(f *testing.F) {
 	add := func(bs []histogram.Bucket, n int) {
 		data, err := histogram.MarshalBuckets(bs)
@@ -138,6 +224,7 @@ func FuzzReduce(f *testing.F) {
 		bs := randomReduceInput(rng)
 		add(bs, 1+rng.Intn(len(bs)))
 	}
+	add(overflowReduceCase(), 2)
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
 		bs, err := histogram.UnmarshalBuckets(data)
 		if err != nil {

@@ -24,10 +24,15 @@ var ErrNoMembers = errors.New("union: no member histograms")
 // Intervals where every member estimates zero mass are dropped,
 // preserving empty gaps.
 //
-// The borders are swept once, left to right, with one massCursor per
-// member, so the cost is linear in the number of borders times the
-// number of members; every interval count is bit-identical to
-// evaluating histogram.MassBelow at both of its ends.
+// Each member's massCursor sweeps the borders once, left to right, and
+// adds the member's mass in every interval to that interval's counter,
+// so the cost is linear in the number of borders times the number of
+// members. A counter takes the members' shares in member order from 0,
+// as one pass over the members per interval would, and every share is
+// bit-identical to evaluating histogram.MassBelow at both of the
+// interval's ends. Sweeping member by member keeps one cursor's state
+// hot for the whole sweep instead of cycling through all of them at
+// every border.
 func Superpose(members ...[]histogram.Bucket) ([]histogram.Bucket, error) {
 	if len(members) == 0 {
 		return nil, ErrNoMembers
@@ -42,28 +47,26 @@ func Superpose(members ...[]histogram.Bucket) ([]histogram.Bucket, error) {
 		return nil, errors.New("union: members have no extent")
 	}
 
-	cursors := make([]massCursor, len(members))
-	below := make([]float64, len(members)) // each member's mass below lo
-	for m := range members {
-		cursors[m].buckets = members[m]
-		below[m] = cursors[m].below(borders[0])
-	}
-	out := make([]histogram.Bucket, 0, len(borders)-1)
-	slab := make([]float64, len(borders)-1) // one counter per output bucket
-	for i := 0; i+1 < len(borders); i++ {
-		lo, hi := borders[i], borders[i+1]
-		mass := 0.0
-		for m := range cursors {
-			h := cursors[m].below(hi)
-			mass += h - below[m]
-			below[m] = h
+	// slab[i] sums the members' mass in [borders[i], borders[i+1]).
+	slab := make([]float64, len(borders)-1)
+	for _, m := range members {
+		c := massCursor{buckets: m}
+		below := c.below(borders[0])
+		for i, hi := range borders[1:] {
+			h := c.below(hi)
+			slab[i] += h - below
+			below = h
 		}
+	}
+	// Keep the intervals with mass, each counter in place in the slab.
+	out := make([]histogram.Bucket, 0, len(slab))
+	for i, mass := range slab {
 		if mass <= 0 {
 			continue
 		}
 		n := len(out)
 		slab[n] = mass
-		out = append(out, histogram.Bucket{Left: lo, Right: hi, Subs: slab[n : n+1 : n+1]})
+		out = append(out, histogram.Bucket{Left: borders[i], Right: borders[i+1], Subs: slab[n : n+1 : n+1]})
 	}
 	if len(out) == 0 {
 		return nil, errors.New("union: members are all empty")
@@ -127,11 +130,14 @@ type border struct {
 // Validate's ≤1e-9 overlaps may put a border behind its predecessor's —
 // so a stable insertion sort per member costs little; a k-way merge of
 // the sorted runs that breaks ties toward the lower member then yields
-// exactly the global stable order. Within a run of equal values the
-// collapsed border takes its last copy's bits — which only matters for
-// ±0, and makes the union's choice between them the same as a set that
-// each later copy overwrites. The merge feeds the deduplication as it
-// goes, so no merged copy of the borders is ever stored.
+// exactly the global stable order. The merge keeps each run's head
+// value beside the run, so picking the next border scans a few cached
+// values instead of reaching into every run. Within a run of equal
+// values the collapsed border takes its last copy's bits — which only
+// matters for ±0, and makes the union's choice between them the same as
+// a set that each later copy overwrites. The merge feeds the
+// deduplication as it goes, so no merged copy of the borders is ever
+// stored.
 func collectBorders(members [][]histogram.Bucket) []float64 {
 	n := 0
 	for _, m := range members {
@@ -140,9 +146,14 @@ func collectBorders(members [][]histogram.Bucket) []float64 {
 		}
 	}
 	bs := make([]border, 0, n)
-	// runs[m] is member m's unmerged rest: bs[runs[m].next:runs[m].end].
-	runs := make([]struct{ next, end int }, len(members))
-	for r, m := range members {
+	// runs holds each non-empty member run's unmerged rest bs[next:end]
+	// in member order, with its head's value v = bs[next].v.
+	type run struct {
+		v         float64
+		next, end int
+	}
+	runs := make([]run, 0, len(members))
+	for _, m := range members {
 		start := len(bs)
 		for i := range m {
 			bs = append(bs, border{m[i].Left, true}, border{m[i].Right, true})
@@ -152,25 +163,28 @@ func collectBorders(members [][]histogram.Bucket) []float64 {
 			}
 		}
 		insertionSort(bs[start:])
-		runs[r].next, runs[r].end = start, len(bs)
+		if len(bs) > start {
+			runs = append(runs, run{bs[start].v, start, len(bs)})
+		}
 	}
 	d := borderDedupe{out: make([]float64, 0, n)}
 	var cur border // the run of equal values being collapsed
-	for first := true; ; {
-		best := -1
-		for r := range runs {
-			if runs[r].next < runs[r].end && (best < 0 || bs[runs[r].next].v < bs[runs[best].next].v) {
+	for i := range bs {
+		best := 0 // of equal heads, the lower member's
+		for r := 1; r < len(runs); r++ {
+			if runs[r].v < runs[best].v {
 				best = r
 			}
 		}
-		if best < 0 {
-			break
+		top := &runs[best]
+		b := bs[top.next]
+		if top.next++; top.next < top.end {
+			top.v = bs[top.next].v
+		} else {
+			runs = append(runs[:best], runs[best+1:]...)
 		}
-		b := bs[runs[best].next]
-		runs[best].next++
 		switch {
-		case first:
-			first = false
+		case i == 0:
 		case cur.v == b.v:
 			b.primary = b.primary || cur.primary
 		default:
@@ -222,7 +236,7 @@ type borderDedupe struct {
 // add feeds the next border, which must not sort before the last one.
 func (d *borderDedupe) add(b border) {
 	if d.open {
-		scale := math.Max(math.Abs(d.anchor), math.Abs(b.v))
+		scale := max(math.Abs(d.anchor), math.Abs(b.v))
 		if b.v-d.anchor <= borderEps*scale {
 			if !d.haveRep && b.primary {
 				d.rep, d.haveRep = b.v, true
@@ -267,7 +281,7 @@ func Reduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 	groups := make([]group, d)
 	for i := range buckets {
 		b := &buckets[i]
-		g := group{left: b.Left, right: b.Right, prev: i - 1, next: i + 1, alive: true}
+		g := group{left: b.Left, right: b.Right, prev: i - 1, next: i + 1}
 		k := len(b.Subs)
 		subW := b.Width() / float64(k)
 		for _, c := range b.Subs {
@@ -282,42 +296,35 @@ func Reduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 	groups[d-1].next = -1
 
 	// Each merge pushes at most two entries, and at most d−n merges run.
-	h := make(groupHeap, 0, (d-1)+2*(d-n))
+	size := (d - 1) + 2*(d-n)
+	h := groupHeap{cost: make([]float64, 0, size), item: make([]uint64, 0, size)}
 	for i := 0; i+1 < d; i++ {
-		h.push(groupEntry{cost: mergedGroupCost(&groups[i], &groups[i+1]), left: i})
+		h.push(mergedGroupCost(&groups[i], &groups[i+1]), i, 0)
 	}
 	alive := d
-	for alive > n && len(h) > 0 {
-		e := h.pop()
-		l := e.left
-		if !groups[l].alive || groups[l].version != e.lv {
-			continue
+	for alive > n && h.len() > 0 {
+		l, stamp := h.pop()
+		g := &groups[l]
+		if g.stamp != stamp {
+			continue // the pair (l, next) changed since this entry was pushed
 		}
-		r := groups[l].next
-		if r < 0 || groups[r].version != e.rv {
-			continue
-		}
-		groups[l].right = groups[r].right
-		groups[l].mass += groups[r].mass
-		groups[l].e2 += groups[r].e2
-		groups[l].version++
-		groups[r].alive = false
-		groups[l].next = groups[r].next
-		if groups[l].next >= 0 {
-			groups[groups[l].next].prev = l
+		r := &groups[g.next]
+		g.right = r.right
+		g.mass += r.mass
+		g.e2 += r.e2
+		g.stamp++
+		r.stamp++ // r is gone, and with it the pair it began
+		g.next = r.next
+		if g.next >= 0 {
+			groups[g.next].prev = l
 		}
 		alive--
-		if p := groups[l].prev; p >= 0 {
-			h.push(groupEntry{
-				cost: mergedGroupCost(&groups[p], &groups[l]),
-				left: p, lv: groups[p].version, rv: groups[l].version,
-			})
+		if p := g.prev; p >= 0 {
+			groups[p].stamp++ // p's pair now ends at the grown l
+			h.push(mergedGroupCost(&groups[p], g), p, groups[p].stamp)
 		}
-		if nx := groups[l].next; nx >= 0 {
-			h.push(groupEntry{
-				cost: mergedGroupCost(&groups[l], &groups[nx]),
-				left: l, lv: groups[l].version, rv: groups[nx].version,
-			})
+		if nx := g.next; nx >= 0 {
+			h.push(mergedGroupCost(g, &groups[nx]), l, g.stamp)
 		}
 	}
 
@@ -334,14 +341,16 @@ func Reduce(buckets []histogram.Bucket, n int) ([]histogram.Bucket, error) {
 
 // group aggregates a run of merged buckets: its span, its mass, and
 // Σ len·density² over the covered intervals (gaps contribute width but
-// no density), which is all the merged-variance formula needs.
+// no density), which is all the merged-variance formula needs. stamp
+// names the live pair (group, next): it moves on whenever this group
+// absorbs its next, its next absorbs its own next, or this group is
+// absorbed, so a heap entry is current exactly while its stamp matches.
 type group struct {
 	left, right float64
 	mass        float64
 	e2          float64
 	prev, next  int
-	version     int
-	alive       bool
+	stamp       uint32
 }
 
 // mergedGroupCost is the variance of the merged density profile around
@@ -359,56 +368,64 @@ func mergedGroupCost(a, b *group) float64 {
 	return c
 }
 
-type groupEntry struct {
-	cost   float64
-	left   int
-	lv, rv int
+// groupHeap is a binary min-heap on cost, kept as two parallel arrays:
+// the costs, which are all a sift reads (8 bytes an entry, so a
+// fanout's ~1.8k entries stay in L1), and beside them each entry's
+// left<<32 | stamp. push and pop move entries exactly as
+// container/heap's up and down do — the same strict < and the same
+// child choice — so ties among equal costs pop in the same order and
+// Reduce's output does not depend on the heap's implementation. Stale
+// entries are left in place and skipped on pop.
+type groupHeap struct {
+	cost []float64
+	item []uint64 // left<<32 | stamp
 }
 
-// groupHeap is a binary min-heap on cost. push and pop move entries
-// exactly as container/heap's up and down do — the same strict < and
-// the same child choice — so ties among equal costs pop in the same
-// order and Reduce's output does not depend on the heap's
-// implementation. Stale entries are left in place and skipped on pop.
-type groupHeap []groupEntry
+func (h *groupHeap) len() int { return len(h.cost) }
 
-func (h *groupHeap) push(e groupEntry) {
-	s := append(*h, e)
-	j := len(s) - 1
+func (h *groupHeap) push(c float64, left int, stamp uint32) {
+	x := uint64(left)<<32 | uint64(stamp)
+	h.cost, h.item = append(h.cost, c), append(h.item, x)
+	cs, is := h.cost, h.item[:len(h.cost)]
+	j := len(cs) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !(e.cost < s[i].cost) {
+		if !(c < cs[i]) {
 			break
 		}
-		s[j] = s[i]
+		cs[j], is[j] = cs[i], is[i]
 		j = i
 	}
-	s[j] = e
-	*h = s
+	cs[j], is[j] = c, x
 }
 
-func (h *groupHeap) pop() groupEntry {
-	s := *h
-	n := len(s) - 1
-	top, x := s[0], s[n]
+// pop removes the cheapest entry and returns its left group and stamp.
+func (h *groupHeap) pop() (left int, stamp uint32) {
+	n := len(h.cost) - 1
+	cs, is := h.cost[:n+1], h.item[:n+1]
+	top, c, x := is[0], cs[n], is[n]
+	h.cost, h.item = cs[:n], is[:n]
 	i := 0
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && s[j2].cost < s[j].cost {
-			j = j2
+		if j2 := j + 1; j2 < n {
+			right := 0 // set without a branch: which child is smaller is a coin flip
+			if cs[j2] < cs[j] {
+				right = 1
+			}
+			j += right
 		}
-		if !(s[j].cost < x.cost) {
+		if !(cs[j] < c) {
 			break
 		}
-		s[i] = s[j]
+		cs[i], is[i] = cs[j], is[j]
 		i = j
 	}
-	s[i] = x
-	*h = s[:n]
-	return top
+	cs[i], is[i] = c, x
+	return int(top >> 32), uint32(top)
 }
 
 // CDFOf returns the normalised CDF of a bucket list.
